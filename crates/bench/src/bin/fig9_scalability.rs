@@ -91,12 +91,12 @@ const SCALE_TOPOS: [ScaleTopo; 3] = [
 ];
 
 /// One measured scale point: streamed run plus memory/wall-clock telemetry.
-fn scale_point(cli: &Cli, mesh: &Mesh, noc: NocConfig, algo: Algorithm) -> (u64, usize, f64, f64) {
+fn scale_point(mesh: &Mesh, noc: NocConfig, algo: Algorithm) -> (u64, usize, f64, f64) {
     let opts = ScheduleOptions::default();
     let mut counter = CountingSink::default();
     algo.emit_with(mesh, SCALE_DATA, &opts, &mut counter)
         .unwrap_or_else(|e| panic!("{algo} on {mesh}: {e}"));
-    let engine = cli.engine(SimEngine::new(noc));
+    let engine = SimEngine::new(noc);
     let start = Instant::now();
     let result = engine
         .run_streamed(mesh, algo, SCALE_DATA, &opts)
@@ -178,7 +178,7 @@ fn main() {
     // pools) runs TTO on 8x8 and then on 16x16; the pools' high-water
     // growth between the two is compared against the message-count growth
     // with 4x headroom for rounding in bucket counts and curve arenas.
-    let engine = cli.engine(SimEngine::paper_default());
+    let engine = SimEngine::paper_default();
     let probe = |n: usize| {
         let mesh = Mesh::square(n).unwrap_or_else(|e| panic!("{n}x{n} mesh: {e}"));
         let data = bandwidth::scalability_data_bytes(&mesh);
@@ -236,11 +236,10 @@ fn main() {
         // scheduler hiccup skews every point's ratio — so take the fastest
         // of three runs (op count and retained bytes are deterministic).
         let (ref_mesh, ref_noc) = (SCALE_TOPOS[0].build)(16);
-        let (ref_ops, ref_bytes, mut ref_wall, ref_time) =
-            scale_point(&cli, &ref_mesh, ref_noc, algo);
+        let (ref_ops, ref_bytes, mut ref_wall, ref_time) = scale_point(&ref_mesh, ref_noc, algo);
         for _ in 0..2 {
             let (_, noc) = (SCALE_TOPOS[0].build)(16);
-            let (_, _, wall, _) = scale_point(&cli, &ref_mesh, noc, algo);
+            let (_, _, wall, _) = scale_point(&ref_mesh, noc, algo);
             ref_wall = ref_wall.min(wall);
         }
         let ref_bpo = ref_bytes as f64 / ref_ops as f64;
@@ -271,7 +270,7 @@ fn main() {
                 if algo.applicability(&mesh) == Applicability::Inapplicable {
                     continue;
                 }
-                let (ops, bytes, wall, time_ns) = scale_point(&cli, &mesh, noc, algo);
+                let (ops, bytes, wall, time_ns) = scale_point(&mesh, noc, algo);
                 let bpo = bytes as f64 / ops as f64;
                 let wpo = wall / ops as f64;
                 println!(
@@ -334,16 +333,17 @@ fn main() {
 
 /// Fails the run when a scale point's retained bytes per op regressed
 /// against the committed baseline — deterministic for a given build, so
-/// compared directly (25% slack for thread-count-dependent pool shapes).
+/// compared directly (25% slack for pool-shape variation).
 ///
 /// Wall-clock is deliberately NOT gated against the baseline: the per-op
-/// growth ratio is only stable when thread count and core count match the
-/// baseline machine (2 run-threads on a 1-core runner inflate large
-/// points far more than small ones). The wall-clock budget is instead the
-/// always-on 50x in-run assertion above, which compares a point against
-/// the same run's 16x16 reference and therefore holds on any machine —
-/// including the gated CI runs. Per-op wall growth is still printed here
-/// next to the baseline's, for eyeballing trends across commits.
+/// growth ratio is only stable when core count and memory bandwidth match
+/// the baseline machine (large points are DRAM-bound, so a slower memory
+/// system inflates them far more than small ones). The wall-clock budget
+/// is instead the always-on 50x in-run assertion above, which compares a
+/// point against the same run's 16x16 reference and therefore holds on
+/// any machine — including the gated CI runs. Per-op wall growth is still
+/// printed here next to the baseline's, for eyeballing trends across
+/// commits.
 fn gate_scale(base_path: &std::path::Path, records: &[Record]) {
     let baseline = meshcoll_sim::experiment::read_json(base_path)
         .unwrap_or_else(|e| panic!("reading gate baseline {}: {e}", base_path.display()));

@@ -1,6 +1,6 @@
 //! Performance baseline for the simulation engine itself.
 //!
-//! Two parts:
+//! Three parts:
 //!
 //! 1. An engine microbenchmark — one uncongested 64 MB message, timed under
 //!    the packet-train fast path and under the exact per-packet reference —
@@ -14,11 +14,6 @@
 //!    packet-train fast path (no global fallback, no scoped per-packet
 //!    component) with ≤1e-6 ns drift, and the suite aggregate (geometric
 //!    mean of the per-workload speedups) must clear ≥10x.
-//!
-//! 4. An intra-run thread-scaling check — each congested workload re-run
-//!    with the per-run worker budget raised (`--run-threads`, default 2
-//!    for this part) — asserting the makespan is bit-identical to the
-//!    sequential run and reporting the wall-clock ratio.
 //!
 //! Results land in `BENCH_sim.json` (repo root by convention) so future
 //! changes to the engine can be diffed against this baseline. Pass
@@ -143,8 +138,8 @@ fn main() {
     // Part 3: congested-workload suite. Full-size schedules whose links all
     // carry interleaved trains — the workloads the contention tiers
     // (exact-tie acceptance, FIFO train splits, scoped fallback) exist for.
-    let auto = cli.engine(SimEngine::paper_default());
-    let exact = cli.engine(SimEngine::paper_default().with_mode(SimMode::PerPacket));
+    let auto = SimEngine::paper_default();
+    let exact = SimEngine::paper_default().with_mode(SimMode::PerPacket);
     let congested = [Algorithm::Tto, Algorithm::Ring, Algorithm::RingBiOdd];
     // More reps than the representative part: the congested suite feeds
     // the CI gate, and the min-of-N estimator needs enough draws on both
@@ -231,58 +226,6 @@ fn main() {
             .with("reference_micros", suite_ref)
             .with("speedup", suite_speedup),
     );
-
-    // Part 4: intra-run thread scaling. The same congested workloads with
-    // the per-run worker budget raised: the makespan must be bit-identical
-    // to the sequential run (the component merge is deterministic by
-    // construction — this is the check CI runs at MESHCOLL_RUN_THREADS=2),
-    // and the wall-clock ratio is recorded for the thread-scaling row in
-    // EXPERIMENTS.md. No speedup is asserted: on a single-core runner the
-    // scoped workers only add overhead, and that is fine.
-    let rt = cli.run_threads.max(2);
-    let seq = SimEngine::paper_default();
-    let par = SimEngine::paper_default().with_run_threads(rt);
-    println!("\nIntra-run thread scaling (run-threads {rt} vs 1, min of {creps}):");
-    println!(
-        "{:<12} {:>14} {:>14} {:>12}",
-        "algorithm", "rt=1 us/run", "rt=n us/run", "identical"
-    );
-    meshcoll_bench::rule(56);
-    for algo in congested {
-        let schedule = algo
-            .schedule(&mesh, mib(64))
-            .unwrap_or_else(|e| panic!("{algo} 64MB schedule: {e}"));
-        let r1 = seq.run(&mesh, &schedule).expect("sequential run");
-        let rn = par.run(&mesh, &schedule).expect("threaded run");
-        assert_eq!(
-            r1.total_time_ns.to_bits(),
-            rn.total_time_ns.to_bits(),
-            "{algo} 64MB: run-threads {rt} drifted from the sequential makespan \
-             ({} vs {} ns)",
-            rn.total_time_ns,
-            r1.total_time_ns
-        );
-        let w1 = min_micros(creps, || {
-            seq.run(&mesh, &schedule).unwrap();
-        });
-        let wn = min_micros(creps, || {
-            par.run(&mesh, &schedule).unwrap();
-        });
-        println!(
-            "{:<12} {:>14.0} {:>14.0} {:>12}",
-            algo.name(),
-            w1,
-            wn,
-            "bitwise"
-        );
-        records.push(
-            Record::new("perf_run_threads", &mesh.to_string(), algo.name(), "64MB")
-                .with("run_threads", rt as f64)
-                .with("seq_micros", w1)
-                .with("threaded_micros", wn)
-                .with("threaded_over_seq", wn / w1),
-        );
-    }
 
     let path = std::path::Path::new("BENCH_sim.json");
     meshcoll_bench::write_json(path, &records)

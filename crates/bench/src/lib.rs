@@ -32,8 +32,7 @@ pub enum SweepSize {
 /// rejected, instead of parse failures silently collapsing to a default.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CliError {
-    /// A thread-count knob (`--jobs`/`MESHCOLL_JOBS`,
-    /// `--run-threads`/`MESHCOLL_RUN_THREADS`) received `0`, a
+    /// The thread-count knob (`--jobs`/`MESHCOLL_JOBS`) received `0`, a
     /// non-integer, or an out-of-range value. Thread counts must be
     /// `>= 1`; omit the knob entirely for its default.
     InvalidThreadCount {
@@ -78,7 +77,7 @@ impl fmt::Display for CliError {
             CliError::UnknownArgument { arg } => write!(
                 f,
                 "unknown argument {arg}; accepted: --quick --full --out <dir> \
-                 --jobs <n> --run-threads <n> --gate <file> --seed <n> \
+                 --jobs <n> --gate <file> --seed <n> \
                  --beam-width <n> --anneal-iters <n>"
             ),
         }
@@ -125,10 +124,6 @@ pub struct Cli {
     /// the default when the knob is omitted; an explicit `0` is rejected
     /// at parse time).
     pub jobs: usize,
-    /// Intra-run worker threads for each individual simulation (default
-    /// `1`: sweeps already parallelize across runs, so per-run threading
-    /// is opt-in). See [`SimEngine::with_run_threads`].
-    pub run_threads: usize,
     /// Committed baseline to gate against (`--gate <file>`); used by
     /// `perf_baseline` to fail CI on wall-clock regressions.
     pub gate: Option<PathBuf>,
@@ -144,17 +139,16 @@ pub struct Cli {
 
 impl Cli {
     /// Parses `--quick` / `--full` / `--out <dir>` / `--jobs <n>` /
-    /// `--run-threads <n>` / `--gate <file>` from `std::env::args`, plus
-    /// the `MESHCOLL_QUICK`, `MESHCOLL_JOBS`, and `MESHCOLL_RUN_THREADS`
-    /// environment variables. Exits with status 2 on a malformed
-    /// invocation (see [`Cli::try_parse_from`] for the typed form).
+    /// `--gate <file>` from `std::env::args`, plus the `MESHCOLL_QUICK`
+    /// and `MESHCOLL_JOBS` environment variables. Exits with status 2 on a
+    /// malformed invocation (see [`Cli::try_parse_from`] for the typed
+    /// form).
     pub fn parse() -> Self {
         let env = |k: &str| std::env::var(k).ok();
         Cli::try_parse_from(
             std::env::args().skip(1),
             env("MESHCOLL_QUICK").is_some(),
             env("MESHCOLL_JOBS"),
-            env("MESHCOLL_RUN_THREADS"),
         )
         .unwrap_or_else(|e| {
             eprintln!("{e}");
@@ -168,15 +162,14 @@ impl Cli {
     ///
     /// # Errors
     ///
-    /// [`CliError::InvalidThreadCount`] when `--jobs`/`MESHCOLL_JOBS` or
-    /// `--run-threads`/`MESHCOLL_RUN_THREADS` is `0` or not an integer,
-    /// [`CliError::MissingValue`] when a value-taking flag ends the
-    /// argument list, and [`CliError::UnknownArgument`] otherwise.
+    /// [`CliError::InvalidThreadCount`] when `--jobs`/`MESHCOLL_JOBS` is
+    /// `0` or not an integer, [`CliError::MissingValue`] when a
+    /// value-taking flag ends the argument list, and
+    /// [`CliError::UnknownArgument`] otherwise.
     pub fn try_parse_from<I>(
         args: I,
         env_quick: bool,
         env_jobs: Option<String>,
-        env_run_threads: Option<String>,
     ) -> Result<Self, CliError>
     where
         I: IntoIterator<Item = String>,
@@ -190,10 +183,6 @@ impl Cli {
         let mut jobs = match env_jobs {
             Some(v) => thread_count("MESHCOLL_JOBS", &v)?,
             None => 0,
-        };
-        let mut run_threads = match env_run_threads {
-            Some(v) => thread_count("MESHCOLL_RUN_THREADS", &v)?,
-            None => 1,
         };
         let mut gate = None;
         let mut seed = DEFAULT_SEED;
@@ -222,12 +211,6 @@ impl Cli {
                         .ok_or(CliError::MissingValue { flag: "--jobs" })?;
                     jobs = thread_count("--jobs", &v)?;
                 }
-                "--run-threads" => {
-                    let v = args.next().ok_or(CliError::MissingValue {
-                        flag: "--run-threads",
-                    })?;
-                    run_threads = thread_count("--run-threads", &v)?;
-                }
                 "--seed" => {
                     let v = args
                         .next()
@@ -253,7 +236,6 @@ impl Cli {
             sweep,
             out_dir,
             jobs,
-            run_threads,
             gate,
             seed,
             beam_width,
@@ -261,25 +243,9 @@ impl Cli {
         })
     }
 
-    /// A [`SweepRunner`] honoring this invocation's `--jobs` selection,
-    /// composed with `--run-threads` so the two never oversubscribe: with
-    /// `--jobs` at its machine-parallelism default and per-run threading
-    /// enabled, the sweep's worker count is scaled down to keep
-    /// `sweep workers x run threads` within the core budget. An explicit
-    /// `--jobs <n>` is honored as given.
+    /// A [`SweepRunner`] honoring this invocation's `--jobs` selection.
     pub fn runner(&self) -> SweepRunner {
-        if self.jobs == 0 && self.run_threads > 1 {
-            let cores = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
-            SweepRunner::new((cores / self.run_threads).max(1))
-        } else {
-            SweepRunner::new(self.jobs)
-        }
-    }
-
-    /// Applies this invocation's `--run-threads` selection to an engine.
-    #[must_use]
-    pub fn engine(&self, engine: SimEngine) -> SimEngine {
-        engine.with_run_threads(self.run_threads)
+        SweepRunner::new(self.jobs)
     }
 
     /// Writes this figure's records to `<out_dir>/<name>.json`.
@@ -300,7 +266,6 @@ impl Default for Cli {
             sweep: SweepSize::Default,
             out_dir: PathBuf::from("results"),
             jobs: 0,
-            run_threads: 1,
             gate: None,
             seed: DEFAULT_SEED,
             beam_width: DEFAULT_BEAM_WIDTH,
@@ -382,24 +347,21 @@ mod tests {
         assert_eq!(cli.sweep, SweepSize::Default);
         assert_eq!(cli.out_dir, std::path::PathBuf::from("results"));
         assert_eq!(cli.jobs, 0, "default = machine parallelism");
-        assert_eq!(cli.run_threads, 1, "default = sequential runs");
         assert!(cli.runner().jobs() >= 1);
     }
 
     fn parse(args: &[&str]) -> Result<Cli, CliError> {
-        Cli::try_parse_from(args.iter().map(|s| (*s).to_string()), false, None, None)
+        Cli::try_parse_from(args.iter().map(|s| (*s).to_string()), false, None)
     }
 
     #[test]
     fn thread_knobs_parse_valid_values() {
-        let cli = parse(&["--jobs", "4", "--run-threads", "2"]).expect("valid");
+        let cli = parse(&["--jobs", "4"]).expect("valid");
         assert_eq!(cli.jobs, 4);
-        assert_eq!(cli.run_threads, 2);
-        let cli = Cli::try_parse_from(std::iter::empty(), true, Some("3".into()), Some("8".into()))
-            .expect("valid env");
+        let cli =
+            Cli::try_parse_from(std::iter::empty(), true, Some("3".into())).expect("valid env");
         assert_eq!(cli.sweep, SweepSize::Quick);
         assert_eq!(cli.jobs, 3);
-        assert_eq!(cli.run_threads, 8);
     }
 
     #[test]
@@ -413,25 +375,10 @@ mod tests {
                 }),
                 "--jobs {bad:?} must be rejected"
             );
-            assert_eq!(
-                parse(&["--run-threads", bad]),
-                Err(CliError::InvalidThreadCount {
-                    knob: "--run-threads",
-                    value: bad.to_string(),
-                }),
-                "--run-threads {bad:?} must be rejected"
-            );
             assert!(matches!(
-                Cli::try_parse_from(std::iter::empty(), false, Some(bad.to_string()), None),
+                Cli::try_parse_from(std::iter::empty(), false, Some(bad.to_string())),
                 Err(CliError::InvalidThreadCount {
                     knob: "MESHCOLL_JOBS",
-                    ..
-                })
-            ));
-            assert!(matches!(
-                Cli::try_parse_from(std::iter::empty(), false, None, Some(bad.to_string())),
-                Err(CliError::InvalidThreadCount {
-                    knob: "MESHCOLL_RUN_THREADS",
                     ..
                 })
             ));
@@ -443,12 +390,6 @@ mod tests {
         assert_eq!(
             parse(&["--jobs"]),
             Err(CliError::MissingValue { flag: "--jobs" })
-        );
-        assert_eq!(
-            parse(&["--run-threads"]),
-            Err(CliError::MissingValue {
-                flag: "--run-threads"
-            })
         );
         assert_eq!(
             parse(&["--frobnicate"]),
@@ -494,18 +435,5 @@ mod tests {
             let msg = parse(&[knob, "0"]).expect_err("rejected").to_string();
             assert!(msg.contains(knob), "error names the knob: {msg}");
         }
-    }
-
-    #[test]
-    fn runner_composes_with_run_threads() {
-        // Explicit --jobs is honored verbatim.
-        let cli = parse(&["--jobs", "5", "--run-threads", "4"]).expect("valid");
-        assert_eq!(cli.runner().jobs(), 5);
-        // Auto jobs divides the core budget by the per-run thread count
-        // (never below one sweep worker).
-        let cli = parse(&["--run-threads", "1024"]).expect("valid");
-        assert_eq!(cli.runner().jobs(), 1);
-        // An engine built through the Cli carries the run-thread budget.
-        assert_eq!(cli.engine(SimEngine::paper_default()).run_threads(), 1024);
     }
 }

@@ -689,9 +689,9 @@ struct MsgState {
     completed: bool,
 }
 
-/// Reusable working memory for [`run_subset`]. One `WorkScratch` per worker
-/// thread; after warmup every buffer retains its high-water capacity, so
-/// steady-state runs allocate nothing.
+/// Reusable working memory for [`run_subset`], pooled on `PacketSim` (one
+/// per concurrent run); after warmup every buffer retains its high-water
+/// capacity, so steady-state runs allocate nothing.
 #[derive(Debug, Default)]
 pub(crate) struct WorkScratch {
     msgs: Vec<MsgState>,
@@ -1422,10 +1422,9 @@ pub(crate) fn run_subset<T: TraceSink>(
 }
 
 /// Runs the whole message DAG at train granularity with freshly allocated
-/// state — the whole-DAG compatibility entry point used by the online
-/// engine and the `run_coalesced` probes, preserving global (cross-
-/// component) taint semantics. The partitioned steady-state path in
-/// `PacketSim` calls [`run_subset`] with pooled scratch instead.
+/// state — the entry point of the `run_coalesced` probes, preserving global
+/// (cross-component) taint semantics. `PacketSim`'s component driver calls
+/// [`run_subset`] with pooled scratch instead.
 pub(crate) fn run<T: TraceSink>(
     cfg: &NocConfig,
     mesh: &Mesh,

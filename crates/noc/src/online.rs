@@ -1,4 +1,4 @@
-//! Online fault injection for the per-packet engine.
+//! Online fault injection: running a message DAG under timed deaths.
 //!
 //! The static fault machinery ([`FaultModel`](meshcoll_topo::FaultModel))
 //! describes a degraded-but-stable network: dead links are known before the
@@ -18,14 +18,12 @@
 //!   [`DrainSnapshot`] — which messages completed, the byte-level loss, and
 //!   the fault overlay/remaining timeline a repair layer needs to regenerate
 //!   the suffix on the surviving topology.
-//! * Under [`SimMode::Auto`](crate::SimMode) the run is partitioned into
-//!   link- and dependency-disjoint components; components whose links the
-//!   timeline cannot touch keep the coalescing fast path, and an affected
-//!   component keeps it too when the speculative fast-path attempt finishes
-//!   strictly before the component's earliest death (every packet start
-//!   precedes its own delivery, so `makespan <= earliest death` proves no
-//!   start lands in the dead window). Only truly interrupted components pay
-//!   the per-packet online loop.
+//! * Under [`SimMode::Auto`](crate::SimMode) the run goes through the same
+//!   component driver as a static run, with one accept rule: a fast-path
+//!   result is kept iff its makespan is at or before the earliest death on
+//!   its routes (every packet start precedes its own delivery, so no start
+//!   lands in the dead window). Only a rejected component pays the
+//!   per-packet loop, which then runs with the death times armed.
 //!
 //! Schedule-level repair and resume orchestration live above the NoC (in
 //! `meshcoll-collectives` and `meshcoll-sim`); this module's contract ends
@@ -33,15 +31,10 @@
 //! per-segment results of a resumed run.
 
 use meshcoll_topo::{FaultEvent, FaultModel, FaultTimeline, LinkId, Mesh};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
-use crate::coalesce::{self, Coalesce};
-use crate::packet_sim::{
-    component_problem, packet_bytes, partition, remap_msg, Event, RunSetup, Time,
-};
-use crate::trace::{MemorySink, TraceEvent, TraceSink};
-use crate::{LinkStats, Message, MsgId, NocConfig, NocError, PacketSim, SimMode, SimOutcome};
+use crate::packet_sim::RunSetup;
+use crate::trace::{TraceEvent, TraceSink};
+use crate::{LinkStats, Message, MsgId, NocConfig, NocError, PacketSim, SimOutcome};
 
 /// The drained state of a run interrupted by a timed fault arrival: what
 /// completed, what was lost, and the world the repaired suffix must run in.
@@ -108,18 +101,57 @@ pub struct OnlineReport {
     pub interruption: Option<DrainSnapshot>,
 }
 
-/// Per-run (or per-component) accumulator of the online loop.
-pub(crate) struct OnlinePart {
-    completion: Vec<f64>,
-    stats: LinkStats,
-    delivered_bytes: Vec<u64>,
-    lost_bytes: u64,
-    /// Global max over completions, drop times, withhold decisions, and
-    /// link busy-interval ends — the component's contribution to `drain_ns`.
-    end_ns: f64,
-    interrupted: bool,
+/// Drain bookkeeping of one run (or component) under a timeline: bytes
+/// each message delivered, what was lost, and the drain clock. Stays empty
+/// — and allocation-free — for static runs.
+#[derive(Debug, Default)]
+pub(crate) struct DrainTally {
+    /// Per message: payload bytes that reached the destination.
+    pub(crate) delivered_bytes: Vec<u64>,
+    pub(crate) lost_bytes: u64,
+    /// Max over completions, drop times, withhold decisions, and link
+    /// busy-interval ends — the run's contribution to `drain_ns`.
+    pub(crate) end_ns: f64,
+    pub(crate) interrupted: bool,
     /// Earliest in-flight drop: (time, message, dead link).
-    first_drop: Option<(f64, MsgId, LinkId)>,
+    pub(crate) first_drop: Option<(f64, MsgId, LinkId)>,
+}
+
+impl DrainTally {
+    /// A message withheld at `at` because a route link had already died.
+    /// The withhold decision is activity at `at`, so the drain clock must
+    /// cover it (it is what guarantees `apply_through(drain_ns)` folds the
+    /// killing event).
+    pub(crate) fn withhold(&mut self, at: f64) {
+        self.interrupted = true;
+        self.end_ns = self.end_ns.max(at);
+    }
+
+    /// A packet of `msg` dropped at `at` on the dead `link`.
+    pub(crate) fn drop_packet(&mut self, at: f64, msg: MsgId, link: LinkId, bytes: u64) {
+        self.interrupted = true;
+        self.lost_bytes += bytes;
+        self.end_ns = self.end_ns.max(at);
+        if self.first_drop.is_none_or(|(t, _, _)| at < t) {
+            self.first_drop = Some((at, msg, link));
+        }
+    }
+
+    /// Folds in the tally of a component run on its own, whose local
+    /// message `j` is global message `members[j]`.
+    pub(crate) fn absorb(&mut self, part: &DrainTally, members: &[u32]) {
+        for (j, &g) in members.iter().enumerate() {
+            self.delivered_bytes[g as usize] = part.delivered_bytes[j];
+        }
+        self.lost_bytes += part.lost_bytes;
+        self.end_ns = self.end_ns.max(part.end_ns);
+        self.interrupted |= part.interrupted;
+        if let Some((t, m, l)) = part.first_drop {
+            if self.first_drop.is_none_or(|(ft, _, _)| t < ft) {
+                self.first_drop = Some((t, MsgId(members[m.index()] as usize), l));
+            }
+        }
+    }
 }
 
 /// Per-link death times implied by a timeline: the minimum over the link's
@@ -147,47 +179,18 @@ fn link_death_times(mesh: &Mesh, timeline: &FaultTimeline) -> Vec<f64> {
     death
 }
 
-/// Earliest death among the links a sub-problem's routes traverse.
-fn min_route_death(setup: &RunSetup, death: &[f64]) -> f64 {
-    setup
-        .unique
-        .iter()
-        .flat_map(|r| r.iter())
-        .map(|&l| death[l.index()])
-        .fold(f64::INFINITY, f64::min)
-}
-
 /// Conservative bound on how far a busy interval can outlive the last
-/// delivery: one full-packet serialization on the slowest route link plus
-/// the per-packet overhead. Used to extend a fast-path component's `end_ns`
-/// so `drain_ns` covers its busy tails exactly like the per-packet loop's
-/// `link_free` tracking does.
-fn busy_tail_slack(cfg: &NocConfig, setup: &RunSetup) -> f64 {
-    let max_ser = setup
-        .unique
+/// delivery of `members`: one full-packet serialization on the slowest
+/// route link plus the per-packet overhead. Extends a fast-path
+/// component's drain clock so `drain_ns` covers its busy tails exactly like
+/// the per-packet loop's `link_free` tracking does.
+pub(crate) fn busy_tail_slack(cfg: &NocConfig, setup: &RunSetup, members: &[u32]) -> f64 {
+    let max_ser = members
         .iter()
-        .flat_map(|r| r.iter())
+        .flat_map(|&g| setup.route(g as usize))
         .map(|&l| cfg.serialization_on(l, cfg.packet_bytes))
         .fold(0.0, f64::max);
     max_ser + cfg.per_packet_overhead_ns
-}
-
-/// Wraps a clean (uninterrupted) static outcome as an [`OnlinePart`].
-fn clean_part(
-    cfg: &NocConfig,
-    messages: &[Message],
-    setup: &RunSetup,
-    out: &SimOutcome,
-) -> OnlinePart {
-    OnlinePart {
-        completion: out.completions().to_vec(),
-        delivered_bytes: messages.iter().map(|m| m.bytes).collect(),
-        end_ns: out.makespan_ns() + busy_tail_slack(cfg, setup),
-        stats: out.link_stats().clone(),
-        lost_bytes: 0,
-        interrupted: false,
-        first_drop: None,
-    }
 }
 
 /// Splices the per-segment outcomes of a resumed online run (the
@@ -227,47 +230,21 @@ impl PacketSim {
         sink: &mut T,
     ) -> Result<OnlineReport, NocError> {
         let setup = self.prepare(mesh, messages)?;
-        self.online_with_setup(mesh, messages, &setup, sink)
-    }
-
-    /// The online simulation body, shared with
-    /// [`PacketSim::simulate_traced`]'s completion-only wrapper.
-    pub(crate) fn online_with_setup<T: TraceSink>(
-        &self,
-        mesh: &Mesh,
-        messages: &[Message],
-        setup: &RunSetup,
-        sink: &mut T,
-    ) -> Result<OnlineReport, NocError> {
-        if self.cfg.timeline.is_empty() {
-            let outcome = self.simulate_static(mesh, messages, setup, sink)?;
+        let death = if self.cfg.timeline.is_empty() {
+            None
+        } else {
+            self.cfg.timeline.validate(mesh)?;
+            Some(link_death_times(mesh, &self.cfg.timeline))
+        };
+        let (outcome, tally) = self.run_prepared(mesh, messages, &setup, death.as_deref(), sink)?;
+        if !tally.interrupted {
             return Ok(OnlineReport {
                 outcome,
                 interruption: None,
             });
         }
-        self.cfg.timeline.validate(mesh)?;
-        let death = link_death_times(mesh, &self.cfg.timeline);
 
-        let part = if self.mode == SimMode::PerPacket || !self.cfg.faults.flaps().is_empty() {
-            self.run_per_packet_online(mesh, messages, setup, &death, sink)?
-        } else if let Some(p) = self.online_scoped(mesh, messages, setup, &death, sink) {
-            p
-        } else {
-            // A component erred: re-run the whole DAG through the online
-            // reference engine so typed errors, their bookkeeping, and the
-            // emitted trace stay bit-identical to an unscoped run.
-            self.run_per_packet_online(mesh, messages, setup, &death, sink)?
-        };
-
-        if !part.interrupted {
-            return Ok(OnlineReport {
-                outcome: SimOutcome::new(part.completion, part.stats),
-                interruption: None,
-            });
-        }
-
-        let drain_ns = part.end_ns;
+        let drain_ns = tally.end_ns;
         if T::ENABLED {
             for e in self.cfg.timeline.events() {
                 if e.at_ns() <= drain_ns {
@@ -286,7 +263,7 @@ impl PacketSim {
         let mut overlay = self.cfg.faults.clone();
         let mut remaining = self.cfg.timeline.clone();
         let faults_applied = remaining.apply_through(drain_ns, &mut overlay);
-        let delivered: Vec<bool> = part.completion.iter().map(|c| !c.is_nan()).collect();
+        let delivered: Vec<bool> = outcome.completions().iter().map(|c| !c.is_nan()).collect();
         let lost_msgs = delivered.iter().filter(|&&d| !d).count();
         let first_fault_ns = self
             .cfg
@@ -298,10 +275,10 @@ impl PacketSim {
             sink.record(TraceEvent::Drain {
                 at_ns: drain_ns,
                 lost_msgs: lost_msgs as u64,
-                lost_bytes: part.lost_bytes,
+                lost_bytes: tally.lost_bytes,
             });
         }
-        let first_lost_msg = part
+        let first_lost_msg = tally
             .first_drop
             .map(|(_, m, _)| m)
             .or_else(|| delivered.iter().position(|&d| !d).map(MsgId));
@@ -309,342 +286,18 @@ impl PacketSim {
             first_fault_ns,
             drain_ns,
             delivered,
-            delivered_bytes: part.delivered_bytes,
-            lost_bytes: part.lost_bytes,
+            delivered_bytes: tally.delivered_bytes,
+            lost_bytes: tally.lost_bytes,
             lost_msgs,
             faults_applied,
             overlay,
             remaining,
             first_lost_msg,
-            first_dead_link: part.first_drop.map(|(_, _, l)| l),
+            first_dead_link: tally.first_drop.map(|(_, _, l)| l),
         };
         Ok(OnlineReport {
-            outcome: SimOutcome::new(part.completion, part.stats),
+            outcome,
             interruption: Some(snapshot),
-        })
-    }
-
-    /// The scoped `Auto` path: per component, unaffected runs keep full
-    /// static semantics (fast path included), affected runs first try the
-    /// fast path speculatively and accept it only when it provably finishes
-    /// before the component's earliest death. Returns `None` when any
-    /// component errors (the caller re-runs the whole DAG for bit-identical
-    /// diagnostics); on `Some`, buffered traces have been flushed to `sink`
-    /// grouped by component.
-    fn online_scoped<T: TraceSink>(
-        &self,
-        mesh: &Mesh,
-        messages: &[Message],
-        setup: &RunSetup,
-        death: &[f64],
-        sink: &mut T,
-    ) -> Option<OnlinePart> {
-        let n = messages.len();
-        let comps = partition(mesh, messages, setup);
-        let mut whole = OnlinePart {
-            completion: vec![f64::NAN; n],
-            stats: LinkStats::new(mesh, &self.cfg.faults),
-            delivered_bytes: vec![0; n],
-            lost_bytes: 0,
-            end_ns: 0.0,
-            interrupted: false,
-            first_drop: None,
-        };
-        let mut new_id: Vec<u32> = vec![0; n];
-        let mut trace: Vec<TraceEvent> = Vec::new();
-        for comp in &comps {
-            let (msgs_c, setup_c) = component_problem(messages, setup, comp, &mut new_id);
-            let min_death = min_route_death(&setup_c, death);
-            let mut buf = MemorySink::new();
-            let part = if min_death == f64::INFINITY {
-                // The timeline cannot touch this component's links; static
-                // semantics apply unchanged.
-                let out = self
-                    .simulate_static(mesh, &msgs_c, &setup_c, &mut buf)
-                    .ok()?;
-                clean_part(&self.cfg, &msgs_c, &setup_c, &out)
-            } else {
-                // Speculative fast path: every packet's link-win time
-                // precedes its own delivery, so a fast-path makespan at or
-                // before the earliest death proves no start lands in the
-                // dead window and the static result is exact.
-                let speculative = match coalesce::run(&self.cfg, mesh, &msgs_c, &setup_c, &mut buf)
-                {
-                    Ok(Coalesce::Done(out)) if out.makespan_ns() <= min_death => Some(out),
-                    _ => None,
-                };
-                if let Some(out) = speculative {
-                    clean_part(&self.cfg, &msgs_c, &setup_c, &out)
-                } else {
-                    buf = MemorySink::new();
-                    self.run_per_packet_online(mesh, &msgs_c, &setup_c, death, &mut buf)
-                        .ok()?
-                }
-            };
-            for (j, &i) in comp.iter().enumerate() {
-                whole.completion[i as usize] = part.completion[j];
-                whole.delivered_bytes[i as usize] = part.delivered_bytes[j];
-            }
-            whole.stats.absorb(&part.stats);
-            whole.lost_bytes += part.lost_bytes;
-            whole.end_ns = whole.end_ns.max(part.end_ns);
-            whole.interrupted |= part.interrupted;
-            if let Some((t, m, l)) = part.first_drop {
-                let global = (t, MsgId(comp[m.index()] as usize), l);
-                if whole.first_drop.is_none_or(|(ft, _, _)| t < ft) {
-                    whole.first_drop = Some(global);
-                }
-            }
-            if T::ENABLED {
-                trace.extend(buf.events().iter().map(|ev| remap_msg(*ev, comp)));
-            }
-        }
-        for ev in trace {
-            sink.record(ev);
-        }
-        Some(whole)
-    }
-
-    /// The per-packet event loop with online death handling: identical to
-    /// the static reference engine except that a packet whose link-win time
-    /// falls at or past its link's death is dropped there, and a message
-    /// that becomes ready after a route link has died is withheld (never
-    /// injected). Static-fault stalls and watchdog trips stay typed errors.
-    pub(crate) fn run_per_packet_online<T: TraceSink>(
-        &self,
-        mesh: &Mesh,
-        messages: &[Message],
-        setup: &RunSetup,
-        death: &[f64],
-        sink: &mut T,
-    ) -> Result<OnlinePart, NocError> {
-        let n = messages.len();
-        let blocked = &setup.blocked;
-        let faults = &self.cfg.faults;
-
-        let mut pending_deps: Vec<usize> = messages.iter().map(|m| m.deps.len()).collect();
-        let mut dependents: Vec<Vec<u32>> = vec![Vec::new(); n];
-        for m in messages {
-            for d in &m.deps {
-                dependents[d.index()].push(m.id.index() as u32);
-            }
-        }
-        let mut earliest: Vec<f64> = messages.iter().map(|m| m.ready_at_ns).collect();
-
-        let mut link_free: Vec<f64> = vec![0.0; mesh.link_id_space()];
-        let mut stats = LinkStats::new(mesh, faults);
-        let mut completion = vec![f64::NAN; n];
-        let mut delivered_bytes: Vec<u64> = vec![0; n];
-        let mut packets_left: Vec<u64> = messages
-            .iter()
-            .map(|m| self.cfg.packets_for(m.bytes))
-            .collect();
-
-        let mut heap: BinaryHeap<Reverse<Event>> = BinaryHeap::new();
-        let mut seq: u64 = 0;
-        let mut injected = 0usize;
-        let mut stalled = 0usize;
-        let mut delivered = 0usize;
-        let mut last_progress: f64 = 0.0;
-        let mut interrupted = false;
-        let mut lost_bytes: u64 = 0;
-        let mut end_ns: f64 = 0.0;
-        let mut first_drop: Option<(f64, MsgId, LinkId)> = None;
-
-        let event_budget: u64 = messages
-            .iter()
-            .enumerate()
-            .map(|(i, m)| self.cfg.packets_for(m.bytes) * (setup.route(i).len() as u64 + 1))
-            .sum::<u64>()
-            .saturating_add(self.cfg.stall_budget_slack);
-        let mut events_popped: u64 = 0;
-
-        let inject = |heap: &mut BinaryHeap<Reverse<Event>>,
-                      seq: &mut u64,
-                      sink: &mut T,
-                      id: usize,
-                      at: f64| {
-            let count = self.cfg.packets_for(messages[id].bytes);
-            if T::ENABLED {
-                sink.record(TraceEvent::Inject {
-                    msg: messages[id].id,
-                    src: messages[id].src,
-                    dst: messages[id].dst,
-                    bytes: messages[id].bytes,
-                    packets: count,
-                    at_ns: at,
-                });
-            }
-            for p in 0..count {
-                *seq += 1;
-                heap.push(Reverse(Event {
-                    at: Time(at),
-                    seq: *seq,
-                    msg: id as u32,
-                    packet: p as u32,
-                    hop: 0,
-                }));
-            }
-        };
-        // A message becoming ready at `at` after a route link has already
-        // died belongs to the un-executed suffix: it is withheld rather
-        // than injected to die downstream. The withhold decision itself is
-        // activity at `at`, so the drain clock must cover it (it is what
-        // guarantees `apply_through(drain_ns)` folds the killing event).
-        let dies = |i: usize, at: f64| setup.route(i).iter().any(|&l| death[l.index()] <= at);
-
-        for (i, m) in messages.iter().enumerate() {
-            if pending_deps[i] == 0 {
-                injected += 1;
-                if blocked[i] {
-                    stalled += 1;
-                } else if dies(i, m.ready_at_ns) {
-                    interrupted = true;
-                    end_ns = end_ns.max(m.ready_at_ns);
-                } else {
-                    inject(&mut heap, &mut seq, sink, i, m.ready_at_ns);
-                }
-            }
-        }
-
-        let hop_lat = self.cfg.per_flit_latency_ns;
-        while let Some(Reverse(ev)) = heap.pop() {
-            events_popped += 1;
-            if events_popped > event_budget {
-                return Err(NocError::Stalled {
-                    pending_msgs: n - delivered,
-                    last_progress_ns: last_progress as u64,
-                    first_blocked_msg: None,
-                    first_blocked_link: None,
-                    stalled_at_ns: ev.at.0 as u64,
-                });
-            }
-            let mi = ev.msg as usize;
-            let route = setup.route(mi);
-            if (ev.hop as usize) < route.len() {
-                let link = route[ev.hop as usize];
-                let bytes = packet_bytes(&self.cfg, messages[mi].bytes, ev.packet as u64);
-                let start = faults.available_at(link, ev.at.0.max(link_free[link.index()]));
-                if start >= death[link.index()] {
-                    // The link died before this packet could win it; the
-                    // packet is lost where it stands.
-                    let at = ev.at.0.max(death[link.index()]);
-                    interrupted = true;
-                    lost_bytes += bytes;
-                    end_ns = end_ns.max(at);
-                    if first_drop.is_none_or(|(t, _, _)| at < t) {
-                        first_drop = Some((at, messages[mi].id, link));
-                    }
-                    if T::ENABLED {
-                        sink.record(TraceEvent::PacketDrop {
-                            msg: messages[mi].id,
-                            packet: ev.packet as u64,
-                            hop: ev.hop,
-                            link,
-                            bytes,
-                            at_ns: at,
-                        });
-                    }
-                    continue;
-                }
-                let ser = self.cfg.serialization_on(link, bytes);
-                link_free[link.index()] = start + ser + self.cfg.per_packet_overhead_ns;
-                stats.add_busy(link, ser + self.cfg.per_packet_overhead_ns);
-                end_ns = end_ns.max(link_free[link.index()]);
-                if T::ENABLED {
-                    sink.record(TraceEvent::PacketHop {
-                        msg: messages[mi].id,
-                        packet: ev.packet as u64,
-                        hop: ev.hop,
-                        link,
-                        bytes,
-                        arrive_ns: ev.at.0,
-                        start_ns: start,
-                        busy_until_ns: link_free[link.index()],
-                    });
-                }
-                seq += 1;
-                let next_at = if (ev.hop as usize) + 1 < route.len() {
-                    start + hop_lat
-                } else {
-                    start + ser + hop_lat
-                };
-                heap.push(Reverse(Event {
-                    at: Time(next_at),
-                    seq,
-                    msg: ev.msg,
-                    packet: ev.packet,
-                    hop: ev.hop + 1,
-                }));
-            } else {
-                packets_left[mi] -= 1;
-                delivered_bytes[mi] +=
-                    packet_bytes(&self.cfg, messages[mi].bytes, ev.packet as u64);
-                end_ns = end_ns.max(ev.at.0);
-                if packets_left[mi] == 0 {
-                    completion[mi] = ev.at.0;
-                    delivered += 1;
-                    last_progress = last_progress.max(ev.at.0);
-                    if T::ENABLED {
-                        sink.record(TraceEvent::Deliver {
-                            msg: messages[mi].id,
-                            bytes: messages[mi].bytes,
-                            at_ns: ev.at.0,
-                        });
-                    }
-                    for &d in &dependents[mi] {
-                        let di = d as usize;
-                        earliest[di] = earliest[di].max(ev.at.0);
-                        pending_deps[di] -= 1;
-                        if pending_deps[di] == 0 {
-                            injected += 1;
-                            if blocked[di] {
-                                stalled += 1;
-                            } else if dies(di, earliest[di]) {
-                                interrupted = true;
-                                end_ns = end_ns.max(earliest[di]);
-                            } else {
-                                inject(&mut heap, &mut seq, sink, di, earliest[di]);
-                            }
-                        }
-                    }
-                }
-            }
-        }
-
-        if stalled > 0 {
-            // Static dead routes are a schedule-lint failure, not an online
-            // fault: keep the typed error bit-identical to the static
-            // engine's.
-            let culprit = (0..n).find(|&i| blocked[i] && completion[i].is_nan());
-            let culprit_link = culprit.and_then(|i| {
-                setup
-                    .route(i)
-                    .iter()
-                    .copied()
-                    .find(|&l| !faults.link_usable(mesh, l))
-            });
-            return Err(NocError::Stalled {
-                pending_msgs: n - delivered,
-                last_progress_ns: last_progress as u64,
-                first_blocked_msg: culprit.map(MsgId),
-                first_blocked_link: culprit_link,
-                stalled_at_ns: last_progress as u64,
-            });
-        }
-        if !interrupted && injected < n {
-            return Err(NocError::DependencyCycle {
-                stuck: n - injected,
-            });
-        }
-        Ok(OnlinePart {
-            completion,
-            stats,
-            delivered_bytes,
-            lost_bytes,
-            end_ns,
-            interrupted,
-            first_drop,
         })
     }
 }
@@ -652,7 +305,8 @@ impl PacketSim {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::NullSink;
+    use crate::trace::{MemorySink, NullSink};
+    use crate::SimMode;
     use meshcoll_topo::NodeId;
 
     fn cfg() -> NocConfig {

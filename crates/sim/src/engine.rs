@@ -5,7 +5,7 @@ use std::sync::{Arc, Mutex};
 use meshcoll_collectives::{
     fault, Algorithm, CollectiveError, OpId, OpKind, OpSink, Schedule, ScheduleOptions,
 };
-use meshcoll_noc::{Message, MsgId, NocConfig, PacketSim, SimMode};
+use meshcoll_noc::{Message, MsgId, NocConfig, PacketSim, SimMode, SimOutcome};
 use meshcoll_topo::{Mesh, NodeId};
 
 use crate::{SimContext, SimError};
@@ -43,6 +43,16 @@ pub struct RunResult {
 }
 
 impl RunResult {
+    /// Times `outcome` as a run of `total_time_ns`: its makespan, or later
+    /// when an online run's last drain outlasts its last delivery.
+    pub(crate) fn of(outcome: &SimOutcome, total_time_ns: f64) -> Self {
+        RunResult {
+            total_time_ns,
+            link_utilization_percent: outcome.link_stats().utilization_percent(total_time_ns),
+            used_link_percent: outcome.link_stats().used_link_percent(),
+        }
+    }
+
     /// Achieved AllReduce bandwidth for `data_bytes` of gradient:
     /// `bytes / time` in GB/s (the Fig 8 metric).
     pub fn bandwidth_gbps(&self, data_bytes: u64) -> f64 {
@@ -81,7 +91,9 @@ pub enum RunStatus {
         /// Timestamp of the first fault arrival that interrupted a
         /// segment, ns.
         at_ns: f64,
-        /// Total wall-clock repair latency charged into the makespan, ns.
+        /// Host wall-clock spent repairing suffixes, ns. Telemetry only:
+        /// it is not charged to the simulated makespan, which resumes
+        /// each suffix at its drain time.
         repair_ns: f64,
         /// Online repairs performed (one per interrupting fault batch).
         attempts: usize,
@@ -143,22 +155,6 @@ impl SimEngine {
     pub fn with_mode(mut self, mode: SimMode) -> Self {
         self.sim = self.sim.with_mode(mode);
         self
-    }
-
-    /// Sets the intra-run worker-thread budget of the underlying
-    /// [`PacketSim`] (see [`PacketSim::with_run_threads`]): `1` (the
-    /// default) simulates inline, `0` resolves to the machine's available
-    /// parallelism, `n > 1` simulates independent DAG components on up to
-    /// `n` scoped threads. Results are bit-identical at every setting.
-    #[must_use]
-    pub fn with_run_threads(mut self, n: usize) -> Self {
-        self.sim = self.sim.with_run_threads(n);
-        self
-    }
-
-    /// The configured intra-run worker-thread budget.
-    pub fn run_threads(&self) -> usize {
-        self.sim.run_threads()
     }
 
     /// The network configuration.
@@ -224,33 +220,42 @@ impl SimEngine {
         data_bytes: u64,
         opts: &ScheduleOptions,
     ) -> Result<DegradedRun, SimError> {
+        let (status, schedule) = self.lint_and_repair(mesh, algorithm, data_bytes, opts)?;
+        let result = schedule.map(|s| self.run(mesh, &s)).transpose()?;
+        Ok(DegradedRun { status, result })
+    }
+
+    /// The static fault phase of [`SimEngine::run_degraded`] and
+    /// [`SimEngine::run_online`]: lints the healthy schedule against the
+    /// configured faults and, when dirty, repairs it offline. Returns the
+    /// verdict with the schedule to run — `None` when no repair exists.
+    pub(crate) fn lint_and_repair(
+        &self,
+        mesh: &Mesh,
+        algorithm: Algorithm,
+        data_bytes: u64,
+        opts: &ScheduleOptions,
+    ) -> Result<(RunStatus, Option<Schedule>), SimError> {
         let faults = &self.noc().faults;
         let schedule = algorithm.schedule_with(mesh, data_bytes, opts)?;
         let issues = fault::lint(mesh, faults, &schedule, self.noc().routing);
         if issues.is_empty() {
-            return Ok(DegradedRun {
-                status: RunStatus::Completed,
-                result: Some(self.run(mesh, &schedule)?),
-            });
+            return Ok((RunStatus::Completed, Some(schedule)));
         }
         let t0 = std::time::Instant::now();
         match fault::repair(algorithm, mesh, faults, data_bytes, opts) {
-            Ok(rep) => {
-                let repair_micros = t0.elapsed().as_secs_f64() * 1e6;
-                Ok(DegradedRun {
-                    status: RunStatus::Repaired {
-                        lint_issues: issues.len(),
-                        strategy: rep.strategy,
-                        sidelined: rep.sidelined.len(),
-                        repair_micros,
-                    },
-                    result: Some(self.run(mesh, &rep.schedule)?),
-                })
+            Ok(rep) => Ok((
+                RunStatus::Repaired {
+                    lint_issues: issues.len(),
+                    strategy: rep.strategy,
+                    sidelined: rep.sidelined.len(),
+                    repair_micros: t0.elapsed().as_secs_f64() * 1e6,
+                },
+                Some(rep.schedule),
+            )),
+            Err(CollectiveError::Infeasible { reason }) => {
+                Ok((RunStatus::Infeasible { reason }, None))
             }
-            Err(CollectiveError::Infeasible { reason }) => Ok(DegradedRun {
-                status: RunStatus::Infeasible { reason },
-                result: None,
-            }),
             Err(e) => Err(e.into()),
         }
     }
@@ -297,14 +302,7 @@ impl SimEngine {
                 self.sim
                     .simulate(mesh, &messages)
                     .map(|outcome| {
-                        let makespan = outcome.makespan_ns();
-                        let run = RunResult {
-                            total_time_ns: makespan,
-                            link_utilization_percent: outcome
-                                .link_stats()
-                                .utilization_percent(makespan),
-                            used_link_percent: outcome.link_stats().used_link_percent(),
-                        };
+                        let run = RunResult::of(&outcome, outcome.makespan_ns());
                         self.sim.recycle(outcome);
                         run
                     })
@@ -341,7 +339,6 @@ impl SimEngine {
             .unwrap_or_default();
         let spans = schedule_messages_into(schedules, &mut messages);
         let result = self.sim.simulate(mesh, &messages).map(|outcome| {
-            let makespan = outcome.makespan_ns();
             let per_schedule = spans
                 .iter()
                 .map(|&(a, b)| {
@@ -351,11 +348,7 @@ impl SimEngine {
                         .fold(0.0, f64::max)
                 })
                 .collect();
-            let run = RunResult {
-                total_time_ns: makespan,
-                link_utilization_percent: outcome.link_stats().utilization_percent(makespan),
-                used_link_percent: outcome.link_stats().used_link_percent(),
-            };
+            let run = RunResult::of(&outcome, outcome.makespan_ns());
             self.sim.recycle(outcome);
             (run, per_schedule)
         });

@@ -2,11 +2,14 @@
 //! meshes, algorithms, and fault arrival times, [`SimEngine::run_online`]
 //! must terminate in one of its typed verdicts — a completed run, a
 //! cleanly-audited online repair, or a typed infeasibility — and never
-//! panic, hang, or report a dirty invariant audit.
+//! panic, hang, or report a dirty invariant audit. The verdict and timing
+//! must also be reproducible: host time spent on repair never reaches the
+//! simulated result, and the per-packet loop alone agrees with the
+//! component driver.
 
 use meshcoll_collectives::{Algorithm, ScheduleOptions};
 use meshcoll_noc::NocConfig;
-use meshcoll_sim::{OnlineOptions, RunStatus, SimEngine};
+use meshcoll_sim::{OnlineOptions, RunResult, RunStatus, SimEngine, SimMode};
 use meshcoll_topo::{Mesh, NodeId};
 use proptest::prelude::*;
 
@@ -22,6 +25,34 @@ fn opts() -> ScheduleOptions {
         tto_chunk_bytes: 2400,
         ..ScheduleOptions::default()
     }
+}
+
+/// Everything two runs of one point must agree on except the host-timed
+/// repair telemetry: the verdict and, after a live repair, its attempts,
+/// lost bytes and resumed ops.
+fn verdict(status: &RunStatus) -> String {
+    match status {
+        RunStatus::RepairedOnline {
+            attempts,
+            lost_bytes,
+            resumed_ops,
+            ..
+        } => {
+            format!("repaired online: {attempts} attempts, {lost_bytes} B lost, {resumed_ops} ops")
+        }
+        other => format!("{other:?}"),
+    }
+}
+
+/// A result's fields as raw bits, so equality is bit-identity.
+fn bits(result: Option<&RunResult>) -> Option<[u64; 3]> {
+    result.map(|r| {
+        [
+            r.total_time_ns.to_bits(),
+            r.link_utilization_percent.to_bits(),
+            r.used_link_percent.to_bits(),
+        ]
+    })
 }
 
 proptest! {
@@ -55,10 +86,26 @@ proptest! {
         } else {
             noc.timeline.chiplet_dies_at(NodeId(victim % mesh.nodes()), at_ns);
         }
-        let e = SimEngine::new(noc);
+        let e = SimEngine::new(noc.clone());
         let run = e
             .run_online(&mesh, a, d, &opts(), &OnlineOptions::audited())
             .expect("run_online returns a verdict, not an error");
+
+        // The simulated result is a pure function of the inputs: a second,
+        // unaudited call reproduces it bit for bit, however long the host
+        // took to repair either time.
+        let again = e
+            .run_online(&mesh, a, d, &opts(), &OnlineOptions::default())
+            .expect("second run_online call");
+        prop_assert_eq!(verdict(&again.status), verdict(&run.status));
+        prop_assert_eq!(bits(again.result.as_ref()), bits(run.result.as_ref()));
+        // The per-packet loop on its own reaches the verdict the component
+        // driver reaches with the fast path.
+        let per_packet = SimEngine::new(noc)
+            .with_mode(SimMode::PerPacket)
+            .run_online(&mesh, a, d, &opts(), &OnlineOptions::default())
+            .expect("per-packet run_online");
+        prop_assert_eq!(verdict(&per_packet.status), verdict(&run.status));
 
         match run.status {
             RunStatus::Completed => {

@@ -35,8 +35,6 @@ fn steady_state_simulate_recycle_performs_zero_allocations() {
         })
         .collect();
 
-    // Sequential engine: worker threads are spawned per run and would
-    // allocate stacks; the zero-alloc contract is for the inline path.
     let sim = PacketSim::new(NocConfig::paper_default());
     for _ in 0..3 {
         let out = sim.simulate(&mesh, &messages).expect("warmup run");
