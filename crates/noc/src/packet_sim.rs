@@ -15,11 +15,18 @@
 //! Dependencies are honored at message granularity: a message is injected
 //! when all messages it depends on have delivered their last packet.
 //!
-//! Two engines implement these semantics. The exact per-packet engine pays
-//! one heap event per packet per hop; the packet-train coalescing fast path
-//! (see [`crate::coalesce`]) advances whole trains in O(messages × hops) and
-//! is used by default whenever no two trains interleave on a link. The
-//! [`SimMode`] policy selects between them.
+//! Two engines implement these semantics. The exact per-packet engine
+//! orders its events by `(time, sequence number)` in one binary heap. It
+//! queues one event per injected message (a burst that serves every
+//! packet's first link in packet order), one per later packet-hop, and one
+//! per message for its last packet's delivery; earlier packets are
+//! delivered as they win their final link. Same-instant events pop in
+//! creation order, so ties break exactly as in a queue that held every
+//! packet-hop and delivery as its own event. The
+//! packet-train coalescing fast path (see [`crate::coalesce`]) advances
+//! whole trains in O(messages × hops) and is used by default whenever no
+//! two trains interleave on a link. The [`SimMode`] policy selects between
+//! them.
 //!
 //! # Steady-state execution model
 //!
@@ -32,8 +39,10 @@
 //! the fast path on the calling thread. One accept rule applies to both: a
 //! fast-path result is kept iff it completed and its makespan is at or
 //! before the earliest timeline death on its routes (∞ for static runs).
-//! A rejected component drops to the per-packet loop alone; a per-packet
-//! *error* re-runs the whole DAG through that loop so typed errors stay
+//! A rejected component drops to the per-packet loop alone — in place when
+//! it is the whole DAG, and without a second fast-path attempt when an
+//! untraced run has just had the whole DAG rejected; a per-packet *error*
+//! re-runs the whole DAG through that loop so typed errors stay
 //! bit-identical to an unpartitioned run. Completions, busy time, and traces
 //! merge in first-appearance component order, so results are deterministic.
 //!
@@ -46,6 +55,7 @@
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::ops::Range;
 use std::sync::{Arc, Mutex};
 
 use meshcoll_topo::{LinkId, Mesh, RouteCache};
@@ -493,6 +503,10 @@ impl PacketSim {
         if death.is_some() {
             tally.delivered_bytes.resize(n, 0);
         }
+        // An untraced run has just tried the whole DAG on the fast path; a
+        // lone component is that same DAG, so trying it again would only
+        // repeat the rejected attempt.
+        let tried = !T::ENABLED && rs.parts.ncomps() == 1;
         let ok = (0..rs.parts.ncomps()).all(|c| {
             self.run_one_comp(
                 mesh,
@@ -503,6 +517,7 @@ impl PacketSim {
                 &rs.bw,
                 &mut w,
                 death,
+                !tried,
                 &mut completion,
                 stats.busy_mut(),
                 &mut tally,
@@ -522,7 +537,8 @@ impl PacketSim {
     /// completions and busy time into the global buffers and (under a
     /// timeline) its drain bookkeeping into `tally`. Trace events reach
     /// `sink` only from the engine whose result was kept, with global ids.
-    /// Returns `false` when the per-packet fallback errors.
+    /// With `try_fast` unset the component goes straight to the per-packet
+    /// loop. Returns `false` when the per-packet fallback errors.
     #[allow(clippy::too_many_arguments)]
     fn run_one_comp<T: TraceSink>(
         &self,
@@ -534,6 +550,7 @@ impl PacketSim {
         bw: &[f64],
         w: &mut WorkerScratch,
         death: Option<&[f64]>,
+        try_fast: bool,
         completion: &mut [f64],
         busy: &mut [f64],
         tally: &mut DrainTally,
@@ -542,60 +559,56 @@ impl PacketSim {
         // Buffer a traced attempt so a rejected one leaves no partial trace
         // in the caller's sink.
         let mut buf = MemorySink::new();
-        let attempt = if T::ENABLED {
-            coalesce::run_subset(
+        let attempt = if !try_fast {
+            None
+        } else if T::ENABLED {
+            Some(coalesce::run_subset(
                 &self.cfg, mesh, messages, setup, members, g2l, bw, &mut w.co, completion, busy,
                 &mut buf,
-            )
+            ))
         } else {
-            coalesce::run_subset(
+            Some(coalesce::run_subset(
                 &self.cfg, mesh, messages, setup, members, g2l, bw, &mut w.co, completion, busy,
                 sink,
-            )
+            ))
         };
         let bound = death.map_or(f64::INFINITY, |d| earliest_death(setup, members, d));
-        if matches!(attempt, Ok(Attempt::Done))
+        if matches!(attempt, Some(Ok(Attempt::Done)))
             && (bound == f64::INFINITY || span(members, completion) <= bound)
         {
             for ev in buf.events() {
                 sink.record(*ev);
             }
         } else {
-            // Per-packet fallback. The rejected attempt may have charged
-            // partial busy time, so the component's links (its exclusive
-            // property — components are link-disjoint) are zeroed before
-            // the per-packet run's busy time is merged back in. The death
-            // times only matter when one can reach the component's routes.
-            for &g in members {
-                for &l in setup.route(g as usize) {
-                    busy[l.index()] = 0.0;
-                }
-            }
+            // Per-packet fallback. The death times only matter when one can
+            // reach the component's routes.
             let live = death.filter(|_| bound < f64::INFINITY);
-            w.new_id.clear();
-            w.new_id.resize(messages.len(), 0);
-            let (msgs_c, setup_c) = component_problem(messages, setup, members, &mut w.new_id);
-            let run = if T::ENABLED {
-                let mut buf = MemorySink::new();
-                let r = self.run_per_packet(mesh, &msgs_c, &setup_c, live, &mut buf);
-                if r.is_ok() {
-                    for ev in buf.events() {
-                        sink.record(remap_msg(*ev, members));
+            let run = if members.len() == messages.len() {
+                // The component is the whole DAG (members are `0..n`): run
+                // it in place, over the global buffers, with no copy of the
+                // DAG and no id remap.
+                if T::ENABLED {
+                    let mut buf = MemorySink::new();
+                    let r = self.run_per_packet_into(
+                        mesh, messages, setup, live, completion, busy, &mut buf,
+                    );
+                    if r.is_ok() {
+                        for ev in buf.events() {
+                            sink.record(*ev);
+                        }
                     }
+                    r
+                } else {
+                    self.run_per_packet_into(mesh, messages, setup, live, completion, busy, sink)
                 }
-                r
             } else {
-                self.run_per_packet(mesh, &msgs_c, &setup_c, live, sink)
+                self.run_sub_per_packet(
+                    mesh, messages, setup, members, live, w, completion, busy, sink,
+                )
             };
-            let Ok((out_c, part)) = run else {
+            let Ok(part) = run else {
                 return false;
             };
-            for (j, &g) in members.iter().enumerate() {
-                completion[g as usize] = out_c.completions()[j];
-            }
-            for (a, b) in busy.iter_mut().zip(out_c.link_stats().busy_slice()) {
-                *a += b;
-            }
             if live.is_some() {
                 tally.absorb(&part, members);
                 return true;
@@ -612,6 +625,52 @@ impl PacketSim {
             tally.end_ns = tally.end_ns.max(end);
         }
         true
+    }
+
+    /// The per-packet fallback of one component that is not the whole DAG:
+    /// runs it as a standalone DAG with dense ids and merges its
+    /// completions, busy time and trace back under global ids. The
+    /// rejected fast-path attempt may have charged partial busy time, so
+    /// the component's links (its exclusive property — components are
+    /// link-disjoint) are zeroed before the merge.
+    #[allow(clippy::too_many_arguments)]
+    fn run_sub_per_packet<T: TraceSink>(
+        &self,
+        mesh: &Mesh,
+        messages: &[Message],
+        setup: &RunSetup,
+        members: &[u32],
+        live: Option<&[f64]>,
+        w: &mut WorkerScratch,
+        completion: &mut [f64],
+        busy: &mut [f64],
+        sink: &mut T,
+    ) -> Result<DrainTally, NocError> {
+        for &g in members {
+            for &l in setup.route(g as usize) {
+                busy[l.index()] = 0.0;
+            }
+        }
+        w.new_id.clear();
+        w.new_id.resize(messages.len(), 0);
+        let (msgs_c, setup_c) = component_problem(messages, setup, members, &mut w.new_id);
+        let (out_c, part) = if T::ENABLED {
+            let mut buf = MemorySink::new();
+            let r = self.run_per_packet(mesh, &msgs_c, &setup_c, live, &mut buf)?;
+            for ev in buf.events() {
+                sink.record(remap_msg(*ev, members));
+            }
+            r
+        } else {
+            self.run_per_packet(mesh, &msgs_c, &setup_c, live, sink)?
+        };
+        for (j, &g) in members.iter().enumerate() {
+            completion[g as usize] = out_c.completions()[j];
+        }
+        for (a, b) in busy.iter_mut().zip(out_c.link_stats().busy_slice()) {
+            *a += b;
+        }
+        Ok(part)
     }
 
     /// Runs the exact per-packet reference engine unconditionally.
@@ -792,78 +851,120 @@ impl PacketSim {
         death: Option<&[f64]>,
         sink: &mut T,
     ) -> Result<(SimOutcome, DrainTally), NocError> {
+        let mut completion = vec![f64::NAN; messages.len()];
+        let mut stats = LinkStats::new(mesh, &self.cfg.faults);
+        let tally = self.run_per_packet_into(
+            mesh,
+            messages,
+            setup,
+            death,
+            &mut completion,
+            stats.busy_mut(),
+            sink,
+        )?;
+        Ok((SimOutcome::new(completion, stats), tally))
+    }
+
+    /// [`Self::run_per_packet`] into caller-owned buffers: overwrites
+    /// `completion` (one entry per message) and `busy` (one per link id).
+    ///
+    /// The loop queues one event per injected message (a burst that serves
+    /// every packet's first link in packet order), one per later packet-hop,
+    /// and one for each message's last delivery; see [`Event`] and
+    /// [`PacketLoop::serve`]. Same-instant events pop in creation order,
+    /// exactly as they would if every packet-hop and delivery were its own
+    /// event.
+    #[allow(clippy::too_many_arguments)]
+    fn run_per_packet_into<T: TraceSink>(
+        &self,
+        mesh: &Mesh,
+        messages: &[Message],
+        setup: &RunSetup,
+        death: Option<&[f64]>,
+        completion: &mut [f64],
+        busy: &mut [f64],
+        sink: &mut T,
+    ) -> Result<DrainTally, NocError> {
         let n = messages.len();
         let blocked = &setup.blocked;
         let faults = &self.cfg.faults;
+        completion.fill(f64::NAN);
+        busy.fill(0.0);
 
-        // Dependency bookkeeping.
-        let mut pending_deps: Vec<usize> = messages.iter().map(|m| m.deps.len()).collect();
-        let mut dependents: Vec<Vec<u32>> = vec![Vec::new(); n];
+        // Per-message state, plus each message's dependents in one CSR slab
+        // (each list in message order).
+        let mut msgs: Vec<MsgRun> = messages
+            .iter()
+            .map(|m| {
+                let count = self.cfg.packets_for(m.bytes);
+                MsgRun {
+                    count,
+                    last_bytes: last_packet_bytes(&self.cfg, m.bytes, count),
+                    left: count,
+                    earliest: m.ready_at_ns,
+                    pending: m.deps.len() as u32,
+                    dep_start: 0,
+                    dep_end: 0,
+                }
+            })
+            .collect();
+        // `dep_end` first counts each message's dependents, then serves as
+        // the cursor that fills its list.
         for m in messages {
             for d in &m.deps {
-                dependents[d.index()].push(m.id.index() as u32);
+                msgs[d.index()].dep_end += 1;
             }
         }
-        // Earliest start implied by explicit ready times; dependency
-        // completions fold in as they happen.
-        let mut earliest: Vec<f64> = messages.iter().map(|m| m.ready_at_ns).collect();
-
-        let mut link_free: Vec<f64> = vec![0.0; mesh.link_id_space()];
-        let mut stats = LinkStats::new(mesh, faults);
-        let mut completion = vec![f64::NAN; n];
-        let mut packets_left: Vec<u64> = messages
+        let mut offset = 0;
+        for r in &mut msgs {
+            let count = r.dep_end;
+            r.dep_start = offset;
+            r.dep_end = offset;
+            offset += count;
+        }
+        let mut dependents = vec![0u32; offset as usize];
+        for (i, m) in messages.iter().enumerate() {
+            for d in &m.deps {
+                let r = &mut msgs[d.index()];
+                dependents[r.dep_end as usize] = i as u32;
+                r.dep_end += 1;
+            }
+        }
+        // Watchdog budget: every packet takes exactly hops + 1 steps (its
+        // hops, then its delivery), so exceeding this count means the loop
+        // is no longer making forward progress (defensive; cannot trip on
+        // well-formed input).
+        let budget: u64 = msgs
             .iter()
-            .map(|m| self.cfg.packets_for(m.bytes))
-            .collect();
-        let mut tally = DrainTally::default();
+            .enumerate()
+            .map(|(i, r)| r.count * (setup.route(i).len() as u64 + 1))
+            .sum::<u64>()
+            .saturating_add(self.cfg.stall_budget_slack);
+        let mut st = PacketLoop {
+            cfg: &self.cfg,
+            messages,
+            setup,
+            death,
+            flaps: !faults.flaps().is_empty(),
+            bw: (0..mesh.link_id_space())
+                .map(|i| self.cfg.bandwidth_of(LinkId(i)))
+                .collect(),
+            msgs,
+            link_free: vec![0.0; mesh.link_id_space()],
+            busy,
+            queue: BinaryHeap::new(),
+            seq: 0,
+            served: 0,
+            tally: DrainTally::default(),
+        };
         if death.is_some() {
-            tally.delivered_bytes.resize(n, 0);
+            st.tally.delivered_bytes.resize(n, 0);
         }
 
-        let mut heap: BinaryHeap<Reverse<Event>> = BinaryHeap::new();
-        let mut seq: u64 = 0;
         let mut injected = 0usize;
         let mut stalled = 0usize;
         let mut delivered = 0usize;
         let mut last_progress: f64 = 0.0;
-        // Watchdog budget: every packet produces exactly hops+1 events, so
-        // exceeding this count means the event loop is no longer making
-        // forward progress (defensive; cannot trip on well-formed input).
-        let event_budget: u64 = messages
-            .iter()
-            .enumerate()
-            .map(|(i, m)| self.cfg.packets_for(m.bytes) * (setup.route(i).len() as u64 + 1))
-            .sum::<u64>()
-            .saturating_add(self.cfg.stall_budget_slack);
-        let mut events_popped: u64 = 0;
-
-        let inject = |heap: &mut BinaryHeap<Reverse<Event>>,
-                      seq: &mut u64,
-                      sink: &mut T,
-                      id: usize,
-                      at: f64| {
-            let count = self.cfg.packets_for(messages[id].bytes);
-            if T::ENABLED {
-                sink.record(TraceEvent::Inject {
-                    msg: messages[id].id,
-                    src: messages[id].src,
-                    dst: messages[id].dst,
-                    bytes: messages[id].bytes,
-                    packets: count,
-                    at_ns: at,
-                });
-            }
-            for p in 0..count {
-                *seq += 1;
-                heap.push(Reverse(Event {
-                    at: Time(at),
-                    seq: *seq,
-                    msg: id as u32,
-                    packet: p as u32,
-                    hop: 0,
-                }));
-            }
-        };
         // A message becoming ready at `at` after a route link has already
         // died belongs to the un-executed suffix: it is withheld rather
         // than injected to die downstream.
@@ -872,131 +973,82 @@ impl PacketSim {
         };
 
         for (i, m) in messages.iter().enumerate() {
-            if pending_deps[i] == 0 {
+            if m.deps.is_empty() {
                 injected += 1;
                 if blocked[i] {
                     stalled += 1;
                 } else if dies(i, m.ready_at_ns) {
-                    tally.withhold(m.ready_at_ns);
+                    st.tally.withhold(m.ready_at_ns);
                 } else {
-                    inject(&mut heap, &mut seq, sink, i, m.ready_at_ns);
+                    st.inject(sink, i, m.ready_at_ns);
                 }
             }
         }
 
-        let hop_lat = self.cfg.per_flit_latency_ns;
-        while let Some(Reverse(ev)) = heap.pop() {
-            events_popped += 1;
-            if events_popped > event_budget {
+        while let Some(Reverse(ev)) = st.queue.pop() {
+            if st.served > budget {
                 // Watchdog trip: no single culprit message/link to name.
                 return Err(NocError::Stalled {
                     pending_msgs: n - delivered,
                     last_progress_ns: last_progress as u64,
                     first_blocked_msg: None,
                     first_blocked_link: None,
-                    stalled_at_ns: ev.at.0 as u64,
+                    stalled_at_ns: ev.at as u64,
                 });
             }
             let mi = ev.msg as usize;
-            let route = setup.route(mi);
-            if (ev.hop as usize) < route.len() {
-                // Packet contends for the link at this hop; a transient flap
-                // defers it until the link's next up window.
-                let link = route[ev.hop as usize];
-                let bytes = packet_bytes(&self.cfg, messages[mi].bytes, ev.packet as u64);
-                let start = faults.available_at(link, ev.at.0.max(link_free[link.index()]));
-                if let Some(d) = death.map(|d| d[link.index()]).filter(|&d| start >= d) {
-                    // The link died before this packet could win it; the
-                    // packet is lost where it stands.
-                    let at = ev.at.0.max(d);
-                    tally.drop_packet(at, messages[mi].id, link, bytes);
-                    if T::ENABLED {
-                        sink.record(TraceEvent::PacketDrop {
-                            msg: messages[mi].id,
-                            packet: ev.packet as u64,
-                            hop: ev.hop,
-                            link,
-                            bytes,
-                            at_ns: at,
-                        });
-                    }
-                    continue;
-                }
-                // The link is held for the payload serialization plus the
-                // per-packet router pipeline overhead before the next packet
-                // can follow.
-                let ser = self.cfg.serialization_on(link, bytes);
-                link_free[link.index()] = start + ser + self.cfg.per_packet_overhead_ns;
-                stats.add_busy(link, ser + self.cfg.per_packet_overhead_ns);
-                if death.is_some() {
-                    tally.end_ns = tally.end_ns.max(link_free[link.index()]);
-                }
-                if T::ENABLED {
-                    sink.record(TraceEvent::PacketHop {
-                        msg: messages[mi].id,
-                        packet: ev.packet as u64,
-                        hop: ev.hop,
-                        link,
-                        bytes,
-                        arrive_ns: ev.at.0,
-                        start_ns: start,
-                        busy_until_ns: link_free[link.index()],
-                    });
-                }
-                seq += 1;
-                let next_at = if (ev.hop as usize) + 1 < route.len() {
-                    // Cut-through: the header reaches the next router after
-                    // one per-flit latency; occupancies overlap.
-                    start + hop_lat
-                } else {
-                    // Final hop: the tail is delivered after full
-                    // serialization plus the hop latency.
-                    start + ser + hop_lat
-                };
-                heap.push(Reverse(Event {
-                    at: Time(next_at),
-                    seq,
-                    msg: ev.msg,
-                    packet: ev.packet,
-                    hop: ev.hop + 1,
-                }));
-            } else {
-                // Delivered at destination.
-                packets_left[mi] -= 1;
-                if death.is_some() {
-                    tally.delivered_bytes[mi] +=
-                        packet_bytes(&self.cfg, messages[mi].bytes, ev.packet as u64);
-                    tally.end_ns = tally.end_ns.max(ev.at.0);
-                }
-                if packets_left[mi] == 0 {
-                    completion[mi] = ev.at.0;
-                    delivered += 1;
-                    last_progress = last_progress.max(ev.at.0);
-                    if T::ENABLED {
-                        sink.record(TraceEvent::Deliver {
-                            msg: messages[mi].id,
-                            bytes: messages[mi].bytes,
-                            at_ns: ev.at.0,
-                        });
-                    }
-                    for &d in &dependents[mi] {
-                        let di = d as usize;
-                        earliest[di] = earliest[di].max(ev.at.0);
-                        pending_deps[di] -= 1;
-                        if pending_deps[di] == 0 {
-                            injected += 1;
-                            if blocked[di] {
-                                stalled += 1;
-                            } else if dies(di, earliest[di]) {
-                                tally.withhold(earliest[di]);
-                            } else {
-                                inject(&mut heap, &mut seq, sink, di, earliest[di]);
-                            }
-                        }
+            if ev.hop == 0 {
+                st.serve(sink, mi, 0..st.msgs[mi].count, 0, ev.at);
+                continue;
+            }
+            if (ev.hop as usize) < setup.route(mi).len() {
+                let p = u64::from(ev.packet);
+                st.serve(sink, mi, p..p + 1, ev.hop, ev.at);
+                continue;
+            }
+            // The message's last packet is delivered at its destination.
+            st.served += 1;
+            st.msgs[mi].left -= 1;
+            if death.is_some() {
+                st.tally.delivered_bytes[mi] += st.msgs[mi].last_bytes;
+                st.tally.end_ns = st.tally.end_ns.max(ev.at);
+            }
+            if st.msgs[mi].left > 0 {
+                // An earlier packet was dropped: the message never completes.
+                continue;
+            }
+            completion[mi] = ev.at;
+            delivered += 1;
+            last_progress = last_progress.max(ev.at);
+            if T::ENABLED {
+                sink.record(TraceEvent::Deliver {
+                    msg: messages[mi].id,
+                    bytes: messages[mi].bytes,
+                    at_ns: ev.at,
+                });
+            }
+            let MsgRun {
+                dep_start, dep_end, ..
+            } = st.msgs[mi];
+            for &d in &dependents[dep_start as usize..dep_end as usize] {
+                let di = d as usize;
+                let r = &mut st.msgs[di];
+                r.earliest = r.earliest.max(ev.at);
+                r.pending -= 1;
+                if r.pending == 0 {
+                    let at = r.earliest;
+                    injected += 1;
+                    if blocked[di] {
+                        stalled += 1;
+                    } else if dies(di, at) {
+                        st.tally.withhold(at);
+                    } else {
+                        st.inject(sink, di, at);
                     }
                 }
             }
         }
+        let tally = st.tally;
 
         if stalled > 0 {
             // Some ready messages route over dead links; everything awaiting
@@ -1026,33 +1078,227 @@ impl PacketSim {
                 stuck: n - injected,
             });
         }
-        Ok((SimOutcome::new(completion, stats), tally))
+        Ok(tally)
     }
 }
 
-/// Totally ordered f64 event key (all simulation times are finite).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) struct Time(pub(crate) f64);
+/// One queued event of the per-packet loop, ordered by `(at, seq)`; `seq`
+/// is unique per event, so that order is total. `hop` tells the three
+/// kinds apart:
+///
+/// * `0` — a burst: every packet of `msg` contends for its first link at
+///   `at`, in packet order (`packet` is unused);
+/// * below the route length — packet `packet` contends for route link
+///   `hop`;
+/// * the route length — `msg`'s last packet is delivered.
+#[derive(Debug, Clone, Copy)]
+struct Event {
+    at: f64,
+    seq: u64,
+    msg: u32,
+    packet: u32,
+    hop: u32,
+}
 
-impl Eq for Time {}
-impl PartialOrd for Time {
+impl PartialEq for Event {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other).is_eq()
+    }
+}
+impl Eq for Event {}
+impl PartialOrd for Event {
     fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
         Some(self.cmp(other))
     }
 }
-impl Ord for Time {
+impl Ord for Event {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.0.total_cmp(&other.0)
+        self.at.total_cmp(&other.at).then(self.seq.cmp(&other.seq))
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub(crate) struct Event {
-    pub(crate) at: Time,
-    pub(crate) seq: u64,
-    pub(crate) msg: u32,
-    pub(crate) packet: u32,
-    pub(crate) hop: u32,
+/// One message's state in a per-packet run.
+#[derive(Debug, Clone, Copy)]
+struct MsgRun {
+    /// Packets the message is split into, and the size of the last one.
+    count: u64,
+    last_bytes: u64,
+    /// Packets not yet delivered.
+    left: u64,
+    /// Earliest injection: the ready time, then each dependency's delivery.
+    earliest: f64,
+    /// Dependencies not yet delivered.
+    pending: u32,
+    /// The message's dependents are `dependents[dep_start..dep_end]`.
+    dep_start: u32,
+    dep_end: u32,
+}
+
+/// The state of one per-packet run that injecting and serving packets
+/// share (see [`PacketSim::run_per_packet_into`]).
+struct PacketLoop<'a> {
+    cfg: &'a NocConfig,
+    messages: &'a [Message],
+    setup: &'a RunSetup,
+    death: Option<&'a [f64]>,
+    /// Whether any transient flap is configured (else `available_at` is the
+    /// identity and is skipped).
+    flaps: bool,
+    /// Bandwidth per link id, looked up once per run.
+    bw: Vec<f64>,
+    msgs: Vec<MsgRun>,
+    link_free: Vec<f64>,
+    busy: &'a mut [f64],
+    queue: BinaryHeap<Reverse<Event>>,
+    /// Events created so far: the tie-break among same-instant events.
+    seq: u64,
+    /// Watchdog count: packet-hops served plus packets delivered.
+    served: u64,
+    tally: DrainTally,
+}
+
+impl PacketLoop<'_> {
+    fn push(&mut self, at: f64, mi: usize, packet: u64, hop: u32) {
+        self.seq += 1;
+        self.queue.push(Reverse(Event {
+            at,
+            seq: self.seq,
+            msg: mi as u32,
+            packet: packet as u32,
+            hop,
+        }));
+    }
+
+    /// Injects message `mi` at `at` as one burst event. As separate hop-0
+    /// events its packets would have taken consecutive sequence numbers,
+    /// so nothing else could sort between them: they would pop back to
+    /// back, exactly as the burst serves them. Only the order of sequence
+    /// numbers matters, so the burst's one number stands for them all.
+    fn inject<T: TraceSink>(&mut self, sink: &mut T, mi: usize, at: f64) {
+        let count = self.msgs[mi].count;
+        if T::ENABLED {
+            let m = &self.messages[mi];
+            sink.record(TraceEvent::Inject {
+                msg: m.id,
+                src: m.src,
+                dst: m.dst,
+                bytes: m.bytes,
+                packets: count,
+                at_ns: at,
+            });
+        }
+        self.push(at, mi, 0, 0);
+    }
+
+    /// Packets `packets` of message `mi` arrive at route link `hop` at `at`
+    /// and win it FIFO, in packet order: a burst's whole message at hop 0,
+    /// or one packet at a later hop. A transient flap defers a packet until
+    /// the link's next up window. A packet that wins its final link and is
+    /// not the message's last is delivered on the spot: its delivery only
+    /// counts down the message's undelivered packets and folds
+    /// order-independent sums and
+    /// maxima into the tally, and it always lands before the last packet's,
+    /// which stays a queue event.
+    fn serve<T: TraceSink>(
+        &mut self,
+        sink: &mut T,
+        mi: usize,
+        packets: Range<u64>,
+        hop: u32,
+        at: f64,
+    ) {
+        let route = self.setup.route(mi);
+        let link = route[hop as usize];
+        let li = link.index();
+        let final_hop = hop as usize + 1 == route.len();
+        let MsgRun {
+            count, last_bytes, ..
+        } = self.msgs[mi];
+        let bw = self.bw[li];
+        let death = self.death.map(|d| d[li]);
+        let overhead = self.cfg.per_packet_overhead_ns;
+        let hop_lat = self.cfg.per_flit_latency_ns;
+        // No other event touches this link while these packets are served,
+        // so its state stays local until they are done.
+        let mut free = self.link_free[li];
+        let mut busy = self.busy[li];
+        let mut folded = 0;
+        for packet in packets {
+            self.served += 1;
+            let bytes = if packet + 1 < count {
+                self.cfg.packet_bytes
+            } else {
+                last_bytes
+            };
+            let ready = at.max(free);
+            let start = if self.flaps {
+                self.cfg.faults.available_at(link, ready)
+            } else {
+                ready
+            };
+            if let Some(d) = death.filter(|&d| start >= d) {
+                // The link died before this packet could win it; the
+                // packet is lost where it stands.
+                let at = at.max(d);
+                self.tally
+                    .drop_packet(at, self.messages[mi].id, link, bytes);
+                if T::ENABLED {
+                    sink.record(TraceEvent::PacketDrop {
+                        msg: self.messages[mi].id,
+                        packet,
+                        hop,
+                        link,
+                        bytes,
+                        at_ns: at,
+                    });
+                }
+                continue;
+            }
+            // The link is held for the payload serialization plus the
+            // per-packet router pipeline overhead before the next packet
+            // can follow.
+            let ser = bytes as f64 / bw;
+            free = start + ser + overhead;
+            busy += ser + overhead;
+            if self.death.is_some() {
+                self.tally.end_ns = self.tally.end_ns.max(free);
+            }
+            if T::ENABLED {
+                sink.record(TraceEvent::PacketHop {
+                    msg: self.messages[mi].id,
+                    packet,
+                    hop,
+                    link,
+                    bytes,
+                    arrive_ns: at,
+                    start_ns: start,
+                    busy_until_ns: free,
+                });
+            }
+            if !final_hop {
+                // Cut-through: the header reaches the next router after
+                // one per-flit latency; occupancies overlap.
+                self.push(start + hop_lat, mi, packet, hop + 1);
+                continue;
+            }
+            // Final hop: the tail is delivered after full serialization
+            // plus the hop latency.
+            let done = start + ser + hop_lat;
+            if packet + 1 < count {
+                folded += 1;
+                if self.death.is_some() {
+                    self.tally.delivered_bytes[mi] += bytes;
+                    self.tally.end_ns = self.tally.end_ns.max(done);
+                }
+            } else {
+                self.push(done, mi, packet, hop + 1);
+            }
+        }
+        self.link_free[li] = free;
+        self.busy[li] = busy;
+        self.served += folded;
+        self.msgs[mi].left -= folded;
+    }
 }
 
 impl NetworkSim for PacketSim {
@@ -1250,17 +1496,6 @@ pub(crate) fn last_packet_bytes(cfg: &NocConfig, total_bytes: u64, count: u64) -
     }
 }
 
-/// Size of packet `idx` within a `total_bytes` message (the last packet
-/// carries the remainder).
-pub(crate) fn packet_bytes(cfg: &NocConfig, total_bytes: u64, idx: u64) -> u64 {
-    let count = cfg.packets_for(total_bytes);
-    if idx + 1 < count {
-        cfg.packet_bytes
-    } else {
-        last_packet_bytes(cfg, total_bytes, count)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1429,10 +1664,10 @@ mod tests {
     #[test]
     fn packet_bytes_splits_remainder() {
         let c = cfg();
-        assert_eq!(packet_bytes(&c, 8192, 0), 8192);
-        assert_eq!(packet_bytes(&c, 10000, 0), 8192);
-        assert_eq!(packet_bytes(&c, 10000, 1), 1808);
-        assert_eq!(packet_bytes(&c, 100, 0), 100);
+        assert_eq!(last_packet_bytes(&c, 8192, 1), 8192);
+        assert_eq!(last_packet_bytes(&c, 8192 * 3, 3), 8192);
+        assert_eq!(last_packet_bytes(&c, 10000, 2), 1808);
+        assert_eq!(last_packet_bytes(&c, 100, 1), 100);
     }
 
     #[test]

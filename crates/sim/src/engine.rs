@@ -64,7 +64,10 @@ impl RunResult {
 }
 
 /// How a fault-aware run ([`SimEngine::run_degraded`]) concluded.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// Equality skips the host wall-clock telemetry (`repair_micros`,
+/// `repair_ns`), so two identical runs compare equal.
+#[derive(Debug, Clone)]
 #[non_exhaustive]
 pub enum RunStatus {
     /// The original schedule already executes under the configured faults
@@ -108,6 +111,53 @@ pub enum RunStatus {
         /// Why no repair exists.
         reason: &'static str,
     },
+}
+
+impl PartialEq for RunStatus {
+    fn eq(&self, other: &Self) -> bool {
+        match (self, other) {
+            (RunStatus::Completed, RunStatus::Completed) => true,
+            (
+                RunStatus::Repaired {
+                    lint_issues,
+                    strategy,
+                    sidelined,
+                    repair_micros: _,
+                },
+                RunStatus::Repaired {
+                    lint_issues: o_lint_issues,
+                    strategy: o_strategy,
+                    sidelined: o_sidelined,
+                    repair_micros: _,
+                },
+            ) => lint_issues == o_lint_issues && strategy == o_strategy && sidelined == o_sidelined,
+            (
+                RunStatus::RepairedOnline {
+                    at_ns,
+                    repair_ns: _,
+                    attempts,
+                    lost_bytes,
+                    resumed_ops,
+                },
+                RunStatus::RepairedOnline {
+                    at_ns: o_at_ns,
+                    repair_ns: _,
+                    attempts: o_attempts,
+                    lost_bytes: o_lost_bytes,
+                    resumed_ops: o_resumed_ops,
+                },
+            ) => {
+                at_ns == o_at_ns
+                    && attempts == o_attempts
+                    && lost_bytes == o_lost_bytes
+                    && resumed_ops == o_resumed_ops
+            }
+            (RunStatus::Infeasible { reason }, RunStatus::Infeasible { reason: o_reason }) => {
+                reason == o_reason
+            }
+            _ => false,
+        }
+    }
 }
 
 /// Result of [`SimEngine::run_degraded`]: the conclusion plus, when a
@@ -624,6 +674,28 @@ mod tests {
                 .bandwidth_gbps(d);
             assert!(bw > 0.0, "{a}: bandwidth {bw}");
         }
+    }
+
+    #[test]
+    fn repeated_repaired_runs_compare_equal() {
+        // The ablation's one-dead-link Ring case: a repaired verdict whose
+        // repair time is host wall-clock and differs between the calls.
+        let mesh = Mesh::square(5).unwrap();
+        let at = |r, c| mesh.node_at(meshcoll_topo::Coord::new(r, c));
+        let mut noc = NocConfig::paper_default();
+        noc.faults
+            .fail_link_between(&mesh, at(2, 2), at(2, 3))
+            .unwrap();
+        let e = SimEngine::new(noc);
+        let opts = ScheduleOptions::default();
+        let a = e
+            .run_degraded(&mesh, Algorithm::Ring, 1 << 20, &opts)
+            .unwrap();
+        let b = e
+            .run_degraded(&mesh, Algorithm::Ring, 1 << 20, &opts)
+            .unwrap();
+        assert!(matches!(a.status, RunStatus::Repaired { .. }), "{a:?}");
+        assert_eq!(a, b);
     }
 
     #[test]
