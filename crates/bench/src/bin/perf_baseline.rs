@@ -10,10 +10,10 @@
 //!    `Auto` engine.
 //! 3. The congested-workload suite — full 64 MB TTO / Ring / RingBiOdd
 //!    schedules on a 5x5 mesh, timed under `Auto` and under the forced
-//!    per-packet reference. Each run is asserted to stay entirely on the
-//!    packet-train fast path (no global fallback, no scoped per-packet
-//!    component) with ≤1e-6 ns drift, and the suite aggregate (geometric
-//!    mean of the per-workload speedups) must clear ≥1.24x.
+//!    per-packet reference. Each run is asserted to stay on the
+//!    packet-train fast path (no per-packet fallback) with ≤1e-6 ns
+//!    drift, and the suite aggregate (geometric mean of the per-workload
+//!    speedups) must clear ≥1.24x.
 //!
 //! Every speedup here is measured against the per-packet reference, which
 //! itself queues one event per first-hop burst rather than one per
@@ -142,7 +142,7 @@ fn main() {
 
     // Part 3: congested-workload suite. Full-size schedules whose links all
     // carry interleaved trains — the workloads the contention tiers
-    // (exact-tie acceptance, FIFO train splits, scoped fallback) exist for.
+    // (exact-tie acceptance, FIFO train splits) exist for.
     let auto = SimEngine::paper_default();
     let exact = SimEngine::paper_default().with_mode(SimMode::PerPacket);
     let congested = [Algorithm::Tto, Algorithm::Ring, Algorithm::RingBiOdd];
@@ -165,7 +165,7 @@ fn main() {
             .schedule(&mesh, mib(64))
             .unwrap_or_else(|e| panic!("{algo} 64MB schedule: {e}"));
         // The whole run must ride the fast path: any per-packet hop in the
-        // trace means a fallback (global or scoped) absorbed the workload.
+        // trace means the per-packet fallback absorbed the workload.
         let mut sink = MemorySink::new();
         auto.run_traced(&mesh, &schedule, &mut sink)
             .unwrap_or_else(|e| panic!("{algo} traced run: {e}"));

@@ -1,11 +1,14 @@
 //! Packet-train coalescing fast path for [`PacketSim`](crate::PacketSim).
 //!
-//! The exact per-packet engine pays one heap event per packet per hop, so a
-//! 64 MB transfer (8192 packets) across 8 hops costs ~65k events. In the
-//! common case those per-packet events are pure overhead: the train's timing
-//! is fully determined by a small recurrence. This module advances whole
-//! trains, one event per (message, hop), collapsing the cost from
-//! O(packets × hops) to O(messages × hops).
+//! The exact per-packet engine serves every packet at every hop: it queues
+//! one burst event per injected message, one event per later packet-hop and
+//! one per final delivery, and pays each packet's service arithmetic on
+//! every link it crosses. A 64 MB transfer (8192 packets) across 8 hops is
+//! ~65k packet-hops, ~57k of them queue events. In the common case that
+//! per-packet work is pure overhead: the train's timing is fully determined
+//! by a small recurrence. This module advances whole trains, one event per
+//! (message, hop), collapsing the cost from O(packets × hops) to
+//! O(messages × hops).
 //!
 //! # The start-curve recurrence
 //!
@@ -42,59 +45,46 @@
 //!    then the owner's tail. The fast path re-serves the owner's tail behind
 //!    the interloper, amends the owner's downstream curve (or re-arms its
 //!    delivery), and emits a [`TraceEvent::TrainSplit`].
-//! 3. **Scoped fallback.** Everything else — near-ties inside the
-//!    equivalence tolerance, ≥2 interlopers in one window, heads landing
-//!    within the tolerance of a packet arrival — returns
-//!    [`Attempt::Contended`] and the caller re-runs only the affected
-//!    messages through the per-packet engine (see
-//!    [`PacketSim`](crate::PacketSim)). Transient link flaps are also left
-//!    to the per-packet engine (each packet must individually re-check the
-//!    outage windows).
+//! 3. **Decline.** Everything else — near-ties inside the equivalence
+//!    tolerance, ≥2 interlopers in one window, heads landing within the
+//!    tolerance of a packet arrival — returns [`Attempt::Contended`], and
+//!    the caller runs the whole DAG through the per-packet engine instead
+//!    (see [`PacketSim`](crate::PacketSim)). Transient link flaps are also
+//!    left to the per-packet engine (each packet must individually re-check
+//!    the outage windows).
 //!
-//! # Scratch-backed subset runs
+//! # Scratch-backed runs
 //!
-//! [`run_subset`] simulates any *component* of the message DAG — a subset
-//! whose dependencies and links are closed under membership, as produced by
-//! `PacketSim`'s union-find partitioner — entirely out of a caller-owned
-//! [`WorkScratch`]. All per-message state lives in one local-id-indexed
-//! structure-of-runs array, start curves are committed into a
+//! [`run`] simulates the whole message DAG entirely out of a caller-owned
+//! [`WorkScratch`]. All per-message state lives in one structure-of-runs
+//! array indexed by message id, start curves are committed into a
 //! structure-of-arrays [`CurveStore`] arena, the two-level event queue
 //! reuses its buckets, and completions/busy time are written into
-//! caller-provided global-sized slices. After the scratch warms up (one run
-//! at each size high-water mark), steady-state runs perform **zero heap
-//! allocations** — asserted by `sim/tests/zero_alloc.rs` through the
-//! counting allocator in `meshcoll_util::alloc`.
+//! caller-provided slices. After the scratch warms up (one run at each size
+//! high-water mark), steady-state runs perform **zero heap allocations** —
+//! asserted by `sim/tests/zero_alloc.rs` through the counting allocator in
+//! `meshcoll_util::alloc`.
 
 use meshcoll_topo::{LinkId, Mesh};
 
 use crate::audit::DEFAULT_TOLERANCE_NS;
 use crate::packet_sim::{last_packet_bytes, RunSetup};
 use crate::trace::{TraceEvent, TraceSink};
-use crate::{LinkStats, Message, NocConfig, NocError, SimOutcome};
+use crate::{Message, NocConfig, NocError};
 
 /// Ambiguity margin, matched to the equivalence/audit tolerance: two event
 /// times closer than this may be ordered differently by the two engines
 /// (floating-point reassociation), so the fast path refuses to arbitrate.
 const EPS: f64 = DEFAULT_TOLERANCE_NS;
 
-/// Outcome of attempting the coalescing fast path on a whole DAG.
-pub(crate) enum Coalesce {
-    /// The run completed; the outcome matches the per-packet engine within
-    /// the equivalence tolerance.
-    Done(SimOutcome),
-    /// Packet trains interleave on some link in a way whose FIFO order the
-    /// fast path cannot prove; the exact per-packet engine must arbitrate.
-    Contended,
-}
-
-/// Outcome of attempting the coalescing fast path on one component, with
-/// results written into the caller's buffers.
+/// Outcome of one fast-path attempt, with results written into the
+/// caller's buffers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Attempt {
-    /// The component completed; completions/busy time were written.
+    /// The run completed; completions/busy time were written.
     Done,
-    /// FIFO order unprovable somewhere in the component; the caller must
-    /// re-run it through the per-packet engine.
+    /// FIFO order unprovable somewhere in the DAG; the caller must re-run
+    /// it through the per-packet engine.
     Contended,
 }
 
@@ -122,8 +112,7 @@ fn tkey(t: f64) -> u64 {
 /// One train-level event. Ordering is `(key, seq)` — `key` is the event
 /// time's [`tkey`] image and `seq` is unique. Kept to 24 bytes (`hop` as
 /// `u16`, `seq` as `u32`) so queue traffic stays cheap — the congested
-/// sweeps move hundreds of thousands of these. `msg` is a *local*
-/// (component) index.
+/// sweeps move hundreds of thousands of these. `msg` is the message id.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 struct Event {
     key: u64,
@@ -633,7 +622,7 @@ struct LinkState {
     /// interloper cannot be ordered.
     split: bool,
     /// Owner of the committed window (meaningful when `owner_arr` is
-    /// non-empty, i.e. the window is sloped and splittable). Local index.
+    /// non-empty, i.e. the window is sloped and splittable).
     owner: u32,
     /// The owner's hop index on this link.
     owner_hop: u16,
@@ -660,9 +649,9 @@ impl LinkState {
     }
 }
 
-/// Per-message simulation state, local-id indexed. One cache line holds two
-/// of these, versus the ten parallel arrays the loop previously touched per
-/// event.
+/// Per-message simulation state, indexed by message id: one compact record
+/// per message, so an event touches one or two cache lines instead of one
+/// per field.
 #[derive(Debug, Clone)]
 struct MsgState {
     /// Injection-eligible time: `ready_at` folded with dependency
@@ -677,8 +666,6 @@ struct MsgState {
     /// Delivery generation: a final-hop train split supersedes the queued
     /// Deliver by bumping this (stale events drop lazily).
     gen: u32,
-    /// Index into the caller's global message array.
-    global: u32,
     /// Which hop the pending curve (and queue event) is for.
     pending_hop: u16,
     /// Route crosses a dead link; never injected.
@@ -689,13 +676,18 @@ struct MsgState {
     completed: bool,
 }
 
-/// Reusable working memory for [`run_subset`], pooled on `PacketSim` (one
-/// per concurrent run); after warmup every buffer retains its high-water
+/// Reusable working memory for [`run`], pooled on `PacketSim` (one per
+/// concurrent run); after warmup every buffer retains its high-water
 /// capacity, so steady-state runs allocate nothing.
 #[derive(Debug, Default)]
 pub(crate) struct WorkScratch {
+    /// Reciprocal bandwidth per link id: serialization times multiply
+    /// instead of divide on the per-event path (tens of cycles saved per
+    /// event; any sub-EPS reordering this could cause declines through the
+    /// EPS checks, so equivalence is unaffected).
+    inv_bw: Vec<f64>,
     msgs: Vec<MsgState>,
-    /// Dependents in CSR layout (offsets + one flat slab of local ids).
+    /// Dependents in CSR layout (offsets + one flat slab of message ids).
     dep_off: Vec<u32>,
     dep_flat: Vec<u32>,
     dep_cursor: Vec<u32>,
@@ -708,7 +700,7 @@ pub(crate) struct WorkScratch {
     busy_est: Vec<f64>,
     curves: CurveStore,
     queue: EventQueue,
-    /// EPS-close delivery group `(local id, completion)` scratch.
+    /// EPS-close delivery group `(message id, completion)` scratch.
     group: Vec<(u32, f64)>,
     stash: Vec<Event>,
     starts: Vec<Seg>,
@@ -741,7 +733,8 @@ impl WorkScratch {
     pub(crate) fn retained_bytes(&self) -> usize {
         use std::mem::size_of;
         let seg = size_of::<Seg>();
-        self.msgs.capacity() * size_of::<MsgState>()
+        self.inv_bw.capacity() * size_of::<f64>()
+            + self.msgs.capacity() * size_of::<MsgState>()
             + (self.dep_off.capacity() + self.dep_flat.capacity() + self.dep_cursor.capacity())
                 * size_of::<u32>()
             + self.links.capacity() * size_of::<LinkState>()
@@ -809,40 +802,29 @@ fn inject_event<T: TraceSink>(
     });
 }
 
-/// Runs one component of the message DAG at train granularity, entirely out
-/// of `ws`.
+/// Runs the whole message DAG at train granularity, entirely out of `ws`.
 ///
-/// `members` lists the component's global message indices in ascending
-/// order; `g2l` maps global → local index (valid for members only). The
-/// component must be closed: every dependency of a member is a member, and
-/// no non-member shares a link with a member (`PacketSim`'s union-find
-/// partitioner guarantees both). `inv_bw` caches per-link *reciprocal*
-/// bandwidth (serialization times multiply instead of divide on the
-/// per-event path);
-/// `completion` and `busy` are global-sized output slices (completions are
-/// written at members' global indices; busy time is *added*, and only on
-/// the component's links). The fault model must have no transient flaps
-/// (the caller checks). Trace events go to `sink` with **global** message
-/// ids; on a [`Attempt::Contended`] return the sink holds a partial trace,
-/// so callers wanting clean traces buffer into a temporary sink first.
+/// `completion` (one entry per message) and `busy` (one per link id) are
+/// the caller's output slices; busy time is *added*. The fault model must
+/// have no transient flaps (the caller checks). On an
+/// [`Attempt::Contended`] return both slices and `sink` hold a partial
+/// run, so callers wanting clean traces buffer into a temporary sink first.
 #[allow(clippy::too_many_arguments, clippy::too_many_lines)]
-pub(crate) fn run_subset<T: TraceSink>(
+pub(crate) fn run<T: TraceSink>(
     cfg: &NocConfig,
     mesh: &Mesh,
     messages: &[Message],
     setup: &RunSetup,
-    members: &[u32],
-    g2l: &[u32],
-    inv_bw: &[f64],
     ws: &mut WorkScratch,
     completion: &mut [f64],
     busy: &mut [f64],
     sink: &mut T,
 ) -> Result<Attempt, NocError> {
     debug_assert!(cfg.faults.flaps().is_empty());
-    let n = members.len();
+    let n = messages.len();
     ws.begin_run(mesh.link_id_space());
     let WorkScratch {
+        inv_bw,
         msgs,
         dep_off,
         dep_flat,
@@ -868,6 +850,8 @@ pub(crate) fn run_subset<T: TraceSink>(
     // routes costs real milliseconds. The u16 route-length guard must
     // restore `busy_est` to all-zero before aborting (`begin_run` relies on
     // the invariant instead of re-zeroing the buffer each run).
+    inv_bw.clear();
+    inv_bw.extend((0..mesh.link_id_space()).map(|i| 1.0 / cfg.bandwidth_of(LinkId(i))));
     msgs.clear();
     msgs.reserve(n);
     dep_off.clear();
@@ -875,9 +859,8 @@ pub(crate) fn run_subset<T: TraceSink>(
     let mut max_ready: f64 = 0.0;
     let mut expected_events = n;
     let (mut memo_bytes, mut memo_pcount) = (0u64, 0u64);
-    for &g in members {
-        let m = &messages[g as usize];
-        let r = setup.route(g as usize);
+    for (i, m) in messages.iter().enumerate() {
+        let r = setup.route(i);
         if r.len() >= usize::from(u16::MAX) {
             // Event hop indices are u16; no physical mesh route gets close.
             for b in busy_est.iter_mut() {
@@ -901,7 +884,7 @@ pub(crate) fn run_subset<T: TraceSink>(
             busy_est[lk.index()] += pcount as f64 * s;
         }
         for d in &m.deps {
-            dep_off[g2l[d.index()] as usize + 1] += 1;
+            dep_off[d.index() + 1] += 1;
         }
         msgs.push(MsgState {
             earliest: m.ready_at_ns,
@@ -910,9 +893,8 @@ pub(crate) fn run_subset<T: TraceSink>(
             curve: CurveRef::EMPTY,
             pending_deps: m.deps.len() as u32,
             gen: 0,
-            global: g,
             pending_hop: 0,
-            blocked: setup.blocked[g as usize],
+            blocked: setup.blocked[i],
             tie_ok: true,
             completed: false,
         });
@@ -949,8 +931,8 @@ pub(crate) fn run_subset<T: TraceSink>(
     let mut last_progress: f64 = 0.0;
 
     for (l, st) in msgs.iter().enumerate() {
-        for d in &messages[st.global as usize].deps {
-            let c = &mut dep_cursor[g2l[d.index()] as usize];
+        for d in &messages[l].deps {
+            let c = &mut dep_cursor[d.index()];
             dep_flat[*c as usize] = l as u32;
             *c += 1;
         }
@@ -962,7 +944,7 @@ pub(crate) fn run_subset<T: TraceSink>(
                     queue,
                     &mut seq,
                     sink,
-                    &messages[st.global as usize],
+                    &messages[l],
                     l as u32,
                     st.pcount,
                     st.earliest,
@@ -1009,11 +991,11 @@ pub(crate) fn run_subset<T: TraceSink>(
             for &(gl, done) in group.iter() {
                 let gl = gl as usize;
                 msgs[gl].completed = true;
-                completion[msgs[gl].global as usize] = done;
+                completion[gl] = done;
                 delivered += 1;
                 last_progress = last_progress.max(done);
                 if T::ENABLED {
-                    let gm = &messages[msgs[gl].global as usize];
+                    let gm = &messages[gl];
                     sink.record(TraceEvent::Deliver {
                         msg: gm.id,
                         bytes: gm.bytes,
@@ -1035,7 +1017,7 @@ pub(crate) fn run_subset<T: TraceSink>(
                                 queue,
                                 &mut seq,
                                 sink,
-                                &messages[msgs[dl].global as usize],
+                                &messages[dl],
                                 dl as u32,
                                 msgs[dl].pcount,
                                 msgs[dl].earliest,
@@ -1049,8 +1031,7 @@ pub(crate) fn run_subset<T: TraceSink>(
         }
 
         // Kind::Arrive: the train's head reaches hop `ev.hop`.
-        let global = msgs[mi].global as usize;
-        let route = setup.route(global);
+        let route = setup.route(mi);
         let j = ev.hop as usize;
         let link = route[j];
         let li = link.index();
@@ -1089,7 +1070,7 @@ pub(crate) fn run_subset<T: TraceSink>(
                 }
                 let am = links[li].owner as usize;
                 let a_hop = links[li].owner_hop;
-                let a_final = (a_hop as usize) + 1 == setup.route(msgs[am].global as usize).len();
+                let a_final = (a_hop as usize) + 1 == setup.route(am).len();
                 // The owner's downstream bookkeeping must still be pending
                 // (its next-hop event or delivery not yet processed).
                 let amendable = if a_final {
@@ -1208,7 +1189,7 @@ pub(crate) fn run_subset<T: TraceSink>(
                 busy[li] += (pcount - 1) as f64 * s + ser_last + ovh;
                 if T::ENABLED {
                     sink.record(TraceEvent::TrainSplit {
-                        msg: messages[msgs[am].global as usize].id,
+                        msg: messages[am].id,
                         hop: u32::from(a_hop),
                         link,
                         split_index: k_a,
@@ -1216,7 +1197,7 @@ pub(crate) fn run_subset<T: TraceSink>(
                         last_start_ns: a_new_last,
                     });
                     sink.record(TraceEvent::TrainHop {
-                        msg: messages[global].id,
+                        msg: messages[mi].id,
                         hop: u32::from(ev.hop),
                         link,
                         packets: pcount,
@@ -1319,7 +1300,7 @@ pub(crate) fn run_subset<T: TraceSink>(
         busy[li] += (pcount - 1) as f64 * s + ser_last + ovh;
         if T::ENABLED {
             sink.record(TraceEvent::TrainHop {
-                msg: messages[global].id,
+                msg: messages[mi].id,
                 hop: u32::from(ev.hop),
                 link,
                 packets: pcount,
@@ -1400,7 +1381,7 @@ pub(crate) fn run_subset<T: TraceSink>(
         let culprit = msgs.iter().position(|m| m.blocked);
         let culprit_link = culprit.and_then(|l| {
             setup
-                .route(msgs[l].global as usize)
+                .route(l)
                 .iter()
                 .copied()
                 .find(|&lk| !cfg.faults.link_usable(mesh, lk))
@@ -1408,7 +1389,7 @@ pub(crate) fn run_subset<T: TraceSink>(
         return Err(NocError::Stalled {
             pending_msgs: n - delivered,
             last_progress_ns: last_progress as u64,
-            first_blocked_msg: culprit.map(|l| crate::MsgId(msgs[l].global as usize)),
+            first_blocked_msg: culprit.map(crate::MsgId),
             first_blocked_link: culprit_link,
             stalled_at_ns: last_progress as u64,
         });
@@ -1419,44 +1400,6 @@ pub(crate) fn run_subset<T: TraceSink>(
         });
     }
     Ok(Attempt::Done)
-}
-
-/// Runs the whole message DAG at train granularity with freshly allocated
-/// state — the entry point of the `run_coalesced` probes, preserving global
-/// (cross-component) taint semantics. `PacketSim`'s component driver calls
-/// [`run_subset`] with pooled scratch instead.
-pub(crate) fn run<T: TraceSink>(
-    cfg: &NocConfig,
-    mesh: &Mesh,
-    messages: &[Message],
-    setup: &RunSetup,
-    sink: &mut T,
-) -> Result<Coalesce, NocError> {
-    let n = messages.len();
-    let members: Vec<u32> = (0..n as u32).collect();
-    let inv_bw: Vec<f64> = (0..mesh.link_id_space())
-        .map(|i| 1.0 / cfg.bandwidth_of(LinkId(i)))
-        .collect();
-    let mut ws = WorkScratch::default();
-    let mut completion = vec![f64::NAN; n];
-    let mut stats = LinkStats::new(mesh, &cfg.faults);
-    let attempt = run_subset(
-        cfg,
-        mesh,
-        messages,
-        setup,
-        &members,
-        &members, // identity: global == local
-        &inv_bw,
-        &mut ws,
-        &mut completion,
-        stats.busy_mut(),
-        sink,
-    )?;
-    Ok(match attempt {
-        Attempt::Done => Coalesce::Done(SimOutcome::new(completion, stats)),
-        Attempt::Contended => Coalesce::Contended,
-    })
 }
 
 #[cfg(test)]

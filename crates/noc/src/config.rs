@@ -54,16 +54,11 @@ pub struct NocConfig {
     /// statically-degraded configurations). Only the per-packet engine can
     /// honor a non-empty timeline — the flit engine rejects it with
     /// [`NocError::Unsupported`](crate::NocError::Unsupported), and
-    /// `SimMode::Auto` skips the coalescing fast path for affected
-    /// components. Timeline deaths are permanent, unlike
+    /// `SimMode::Auto` keeps a coalesced run only if it completes before
+    /// the earliest death on its routes, otherwise draining the whole DAG
+    /// per packet. Timeline deaths are permanent, unlike
     /// [`LinkFlap`](meshcoll_topo::LinkFlap) windows.
     pub timeline: FaultTimeline,
-    /// Extra event budget granted to the packet engine's stall watchdog on
-    /// top of the structural bound `Σ packets × (hops + 1)`. Raise it for
-    /// experiments that legitimately re-examine events (it only delays
-    /// detection of a genuine deadlock); the default of 16 matches the
-    /// engine's historical slack.
-    pub stall_budget_slack: u64,
 }
 
 impl NocConfig {
@@ -82,7 +77,6 @@ impl NocConfig {
             per_packet_overhead_ns: 21.0,
             faults: FaultModel::default(),
             timeline: FaultTimeline::default(),
-            stall_budget_slack: 16,
         }
     }
 

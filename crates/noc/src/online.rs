@@ -18,12 +18,14 @@
 //!   [`DrainSnapshot`] — which messages completed, the byte-level loss, and
 //!   the fault overlay/remaining timeline a repair layer needs to regenerate
 //!   the suffix on the surviving topology.
-//! * Under [`SimMode::Auto`](crate::SimMode) the run goes through the same
-//!   component driver as a static run, with one accept rule: a fast-path
-//!   result is kept iff its makespan is at or before the earliest death on
-//!   its routes (every packet start precedes its own delivery, so no start
-//!   lands in the dead window). Only a rejected component pays the
-//!   per-packet loop, which then runs with the death times armed.
+//! * There is no separate online engine: the run follows the same rule as
+//!   a static one (see [`PacketSim`]). Under [`SimMode::Auto`](crate::SimMode)
+//!   one fast-path pass over the whole DAG is kept iff its makespan is at or
+//!   before the earliest death on the DAG's routes (every packet start
+//!   precedes its own delivery, so no start lands in a dead window), and
+//!   such a run is never interrupted. Otherwise the whole DAG drains
+//!   through the per-packet loop with the death times armed, so the drain
+//!   clock, the byte tally and every drop are that loop's own.
 //!
 //! Schedule-level repair and resume orchestration live above the NoC (in
 //! `meshcoll-collectives` and `meshcoll-sim`); this module's contract ends
@@ -32,9 +34,8 @@
 
 use meshcoll_topo::{FaultEvent, FaultModel, FaultTimeline, LinkId, Mesh};
 
-use crate::packet_sim::RunSetup;
 use crate::trace::{TraceEvent, TraceSink};
-use crate::{LinkStats, Message, MsgId, NocConfig, NocError, PacketSim, SimOutcome};
+use crate::{LinkStats, Message, MsgId, NocError, PacketSim, SimOutcome};
 
 /// The drained state of a run interrupted by a timed fault arrival: what
 /// completed, what was lost, and the world the repaired suffix must run in.
@@ -101,16 +102,16 @@ pub struct OnlineReport {
     pub interruption: Option<DrainSnapshot>,
 }
 
-/// Drain bookkeeping of one run (or component) under a timeline: bytes
-/// each message delivered, what was lost, and the drain clock. Stays empty
-/// — and allocation-free — for static runs.
+/// Drain bookkeeping of one per-packet run under a timeline: bytes each
+/// message delivered, what was lost, and the drain clock. Stays empty — and
+/// allocation-free — for static runs and kept fast-path runs.
 #[derive(Debug, Default)]
 pub(crate) struct DrainTally {
     /// Per message: payload bytes that reached the destination.
     pub(crate) delivered_bytes: Vec<u64>,
     pub(crate) lost_bytes: u64,
     /// Max over completions, drop times, withhold decisions, and link
-    /// busy-interval ends — the run's contribution to `drain_ns`.
+    /// busy-interval ends: the run's `drain_ns`.
     pub(crate) end_ns: f64,
     pub(crate) interrupted: bool,
     /// Earliest in-flight drop: (time, message, dead link).
@@ -134,22 +135,6 @@ impl DrainTally {
         self.end_ns = self.end_ns.max(at);
         if self.first_drop.is_none_or(|(t, _, _)| at < t) {
             self.first_drop = Some((at, msg, link));
-        }
-    }
-
-    /// Folds in the tally of a component run on its own, whose local
-    /// message `j` is global message `members[j]`.
-    pub(crate) fn absorb(&mut self, part: &DrainTally, members: &[u32]) {
-        for (j, &g) in members.iter().enumerate() {
-            self.delivered_bytes[g as usize] = part.delivered_bytes[j];
-        }
-        self.lost_bytes += part.lost_bytes;
-        self.end_ns = self.end_ns.max(part.end_ns);
-        self.interrupted |= part.interrupted;
-        if let Some((t, m, l)) = part.first_drop {
-            if self.first_drop.is_none_or(|(ft, _, _)| t < ft) {
-                self.first_drop = Some((t, MsgId(members[m.index()] as usize), l));
-            }
         }
     }
 }
@@ -177,20 +162,6 @@ fn link_death_times(mesh: &Mesh, timeline: &FaultTimeline) -> Vec<f64> {
         }
     }
     death
-}
-
-/// Conservative bound on how far a busy interval can outlive the last
-/// delivery of `members`: one full-packet serialization on the slowest
-/// route link plus the per-packet overhead. Extends a fast-path
-/// component's drain clock so `drain_ns` covers its busy tails exactly like
-/// the per-packet loop's `link_free` tracking does.
-pub(crate) fn busy_tail_slack(cfg: &NocConfig, setup: &RunSetup, members: &[u32]) -> f64 {
-    let max_ser = members
-        .iter()
-        .flat_map(|&g| setup.route(g as usize))
-        .map(|&l| cfg.serialization_on(l, cfg.packet_bytes))
-        .fold(0.0, f64::max);
-    max_ser + cfg.per_packet_overhead_ns
 }
 
 /// Splices the per-segment outcomes of a resumed online run (the
@@ -306,7 +277,7 @@ impl PacketSim {
 mod tests {
     use super::*;
     use crate::trace::{MemorySink, NullSink};
-    use crate::SimMode;
+    use crate::{NocConfig, SimMode};
     use meshcoll_topo::NodeId;
 
     fn cfg() -> NocConfig {

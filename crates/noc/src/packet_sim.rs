@@ -28,26 +28,23 @@
 //! two trains interleave on a link. The [`SimMode`] policy selects between
 //! them.
 //!
-//! # Steady-state execution model
+//! # One rule per run
 //!
-//! Every run — static, or under a [`FaultTimeline`](meshcoll_topo::FaultTimeline)
-//! — goes through one component driver and one per-packet event loop. Under
-//! [`SimMode::Auto`] (no transient flaps), an untraced run first tries the
-//! fast path on the whole DAG; otherwise (or when that attempt is rejected)
-//! union-find over dependency edges and shared route links splits the DAG
-//! into mutually link-disjoint, dependency-closed components, each tried on
-//! the fast path on the calling thread. One accept rule applies to both: a
-//! fast-path result is kept iff it completed and its makespan is at or
-//! before the earliest timeline death on its routes (∞ for static runs).
-//! A rejected component drops to the per-packet loop alone — in place when
-//! it is the whole DAG, and without a second fast-path attempt when an
-//! untraced run has just had the whole DAG rejected; a per-packet *error*
-//! re-runs the whole DAG through that loop so typed errors stay
-//! bit-identical to an unpartitioned run. Completions, busy time, and traces
-//! merge in first-appearance component order, so results are deterministic.
+//! Every run — static or under a
+//! [`FaultTimeline`](meshcoll_topo::FaultTimeline), traced or not — follows
+//! one rule. Under [`SimMode::Auto`] without transient flaps, one coalescer
+//! pass runs over the whole DAG, and its result is kept iff it completes
+//! with every delivery at or before the earliest timeline death on the
+//! DAG's routes (∞ for static runs): every packet start precedes its own
+//! delivery, so no start of a kept run lands in a dead window. A traced
+//! pass is buffered, so a declined one leaves no partial trace. Otherwise —
+//! a decline, a fast-path error, a flap, or [`SimMode::PerPacket`] — the
+//! whole DAG runs once through the per-packet loop, in place on the same
+//! outcome buffers, and its result or typed error is returned unchanged. A
+//! declined run is therefore bit-identical to `SimMode::PerPacket`.
 //!
-//! All per-run working memory — route tables, partition state, coalescer
-//! curves/events, outcome buffers — lives in pools on the `PacketSim` and is
+//! All per-run working memory — route tables, coalescer curves/events,
+//! outcome buffers — lives in pools on the `PacketSim` and is
 //! reused across runs; after a warmup run, the steady-state path allocates
 //! nothing (asserted by the counting-allocator test in
 //! `crates/sim/tests/zero_alloc.rs`). Callers that run in a tight loop can
@@ -60,9 +57,9 @@ use std::sync::{Arc, Mutex};
 
 use meshcoll_topo::{LinkId, Mesh, RouteCache};
 
-use crate::coalesce::{self, Attempt, Coalesce, WorkScratch};
+use crate::coalesce::{self, Attempt, WorkScratch};
 use crate::message::validate_one;
-use crate::online::{busy_tail_slack, DrainTally};
+use crate::online::DrainTally;
 use crate::trace::{MemorySink, NullSink, TraceEvent, TraceSink};
 use crate::{LinkStats, Message, MsgId, NetworkSim, NocConfig, NocError, SimOutcome};
 
@@ -111,51 +108,7 @@ impl RunSetup {
     }
 }
 
-/// Union-find partition of one run's DAG in CSR form: `comp_members`
-/// concatenates the components' member lists (global message ids, ascending
-/// within a component), `comp_off` delimits them, and `g2l[i]` is message
-/// `i`'s dense local index inside its component. Components are numbered in
-/// first-appearance (= lowest-member) order, which fixes the deterministic
-/// merge order.
-#[derive(Debug, Default)]
-struct PartitionScratch {
-    parent: Vec<u32>,
-    link_owner: Vec<u32>,
-    route_owner: Vec<u32>,
-    root_comp: Vec<u32>,
-    cid: Vec<u32>,
-    comp_off: Vec<u32>,
-    cursor: Vec<u32>,
-    comp_members: Vec<u32>,
-    g2l: Vec<u32>,
-}
-
-impl PartitionScratch {
-    fn ncomps(&self) -> usize {
-        self.comp_off.len().saturating_sub(1)
-    }
-
-    fn members(&self, c: usize) -> &[u32] {
-        &self.comp_members[self.comp_off[c] as usize..self.comp_off[c + 1] as usize]
-    }
-
-    fn retained_bytes(&self) -> usize {
-        use std::mem::size_of;
-        (self.parent.capacity()
-            + self.link_owner.capacity()
-            + self.route_owner.capacity()
-            + self.root_comp.capacity()
-            + self.cid.capacity()
-            + self.comp_off.capacity()
-            + self.cursor.capacity()
-            + self.comp_members.capacity()
-            + self.g2l.capacity())
-            * size_of::<u32>()
-    }
-}
-
-/// Whole-run scratch: the prepared setup, the dense route memo behind it,
-/// per-link bandwidths, and the partition state.
+/// Whole-run scratch: the prepared setup and the route memos behind it.
 #[derive(Debug, Default)]
 struct RunScratch {
     setup: RunSetup,
@@ -170,13 +123,6 @@ struct RunScratch {
     pair_memo: std::collections::HashMap<u64, u32>,
     /// Blocked flag per unique route, computed once and fanned out.
     unique_blocked: Vec<bool>,
-    /// Per-link bandwidth cache for the coalescer.
-    bw: Vec<f64>,
-    /// Identity index map (`0..n`) for the whole-DAG fast-path attempt,
-    /// which runs before any partitioning and so serves as both the member
-    /// list and the global→local map.
-    ident: Vec<u32>,
-    parts: PartitionScratch,
 }
 
 impl RunScratch {
@@ -188,24 +134,6 @@ impl RunScratch {
             + self.memo.capacity() * size_of::<u32>()
             + self.pair_memo.capacity() * (size_of::<u64>() + size_of::<u32>() + 1)
             + self.unique_blocked.capacity()
-            + self.bw.capacity() * size_of::<f64>()
-            + self.ident.capacity() * size_of::<u32>()
-            + self.parts.retained_bytes()
-    }
-}
-
-/// Component-loop scratch: the coalescer's working memory plus the id-remap
-/// buffer of the per-component per-packet fallback.
-#[derive(Debug, Default)]
-struct WorkerScratch {
-    co: WorkScratch,
-    /// Global-length id-remap scratch for the per-component fallback.
-    new_id: Vec<u32>,
-}
-
-impl WorkerScratch {
-    fn retained_bytes(&self) -> usize {
-        self.co.retained_bytes() + self.new_id.capacity() * std::mem::size_of::<u32>()
     }
 }
 
@@ -214,7 +142,8 @@ impl WorkerScratch {
 #[derive(Debug, Default)]
 struct ScratchPools {
     run: Mutex<Vec<RunScratch>>,
-    work: Mutex<Vec<WorkerScratch>>,
+    /// The coalescer's working memory.
+    work: Mutex<Vec<WorkScratch>>,
     /// Recycled `(completion, busy)` outcome buffers (see `recycle`).
     outcome: Mutex<Vec<(Vec<f64>, Vec<f64>)>>,
 }
@@ -228,7 +157,7 @@ impl ScratchPools {
         self.run.lock().expect("run pool").push(rs);
     }
 
-    fn take_work(&self) -> WorkerScratch {
+    fn take_work(&self) -> WorkScratch {
         self.work
             .lock()
             .expect("work pool")
@@ -236,7 +165,7 @@ impl ScratchPools {
             .unwrap_or_default()
     }
 
-    fn put_work(&self, ws: WorkerScratch) {
+    fn put_work(&self, ws: WorkScratch) {
         self.work.lock().expect("work pool").push(ws);
     }
 
@@ -253,19 +182,17 @@ impl ScratchPools {
     }
 }
 
-/// Latest delivery among `members` (the component's makespan).
-fn span(members: &[u32], completion: &[f64]) -> f64 {
-    members
-        .iter()
-        .map(|&g| completion[g as usize])
-        .fold(0.0, f64::max)
+/// Latest delivery: the run's makespan.
+fn span(completion: &[f64]) -> f64 {
+    completion.iter().copied().fold(0.0, f64::max)
 }
 
-/// Earliest death among the links `members`' routes traverse.
-fn earliest_death(setup: &RunSetup, members: &[u32], death: &[f64]) -> f64 {
-    members
+/// Earliest death among the links the DAG's routes traverse.
+fn earliest_death(setup: &RunSetup, death: &[f64]) -> f64 {
+    setup
+        .unique
         .iter()
-        .flat_map(|&g| setup.route(g as usize))
+        .flat_map(|route| route.iter())
         .map(|l| death[l.index()])
         .fold(f64::INFINITY, f64::min)
 }
@@ -320,7 +247,7 @@ impl PacketSim {
         self.pools.put_outcome((completion, stats.into_busy()));
     }
 
-    /// Total bytes currently retained by the reusable run/worker/outcome
+    /// Total bytes currently retained by the reusable run/coalescer/outcome
     /// pools (capacity high-water marks). Used by the scalability smoke test
     /// to check that per-run memory stays O(messages).
     pub fn retained_scratch_bytes(&self) -> usize {
@@ -339,7 +266,7 @@ impl PacketSim {
             .lock()
             .expect("work pool")
             .iter()
-            .map(WorkerScratch::retained_bytes)
+            .map(WorkScratch::retained_bytes)
             .sum();
         let outcome: usize = self
             .pools
@@ -369,10 +296,11 @@ impl PacketSim {
 
     /// Like [`PacketSim::simulate`], but emits the run's [`TraceEvent`]
     /// stream into `sink`. With the default [`NullSink`] this monomorphizes
-    /// to the untraced hot path. Because the fast path may decline mid-run,
-    /// an enabled sink only receives events of the engine that actually
-    /// completed each component: a declined fast-path attempt's partial
-    /// trace is discarded, never replayed into `sink`.
+    /// to the untraced hot path, and a traced run takes the same path as an
+    /// untraced one. Because the fast path may decline mid-run, an enabled
+    /// sink only receives events of the engine whose result was kept: a
+    /// declined fast-path attempt's partial trace is discarded, never
+    /// replayed into `sink`.
     ///
     /// # Errors
     ///
@@ -406,11 +334,14 @@ impl PacketSim {
     }
 
     /// One run over a prepared DAG, static (`death` = `None`) or under the
-    /// timeline's per-link death times: the component driver under
-    /// [`SimMode::Auto`] without flaps, the per-packet loop over the whole
-    /// DAG otherwise — and whenever the driver hits an error, so typed
-    /// errors and their bookkeeping stay bit-identical to an unpartitioned
-    /// run.
+    /// timeline's per-link death times, by the module's one rule: under
+    /// [`SimMode::Auto`] without flaps, keep one fast-path pass over the
+    /// whole DAG if it completes by the earliest death on its routes, and
+    /// otherwise run the whole DAG through the per-packet loop and return
+    /// its result or typed error unchanged. A fast-path error (a static dead
+    /// route, a dependency cycle) also falls through, so typed errors are
+    /// always the reference engine's. A kept fast-path run is never
+    /// interrupted, so it carries an empty drain tally.
     pub(crate) fn run_prepared<T: TraceSink>(
         &self,
         mesh: &Mesh,
@@ -419,258 +350,88 @@ impl PacketSim {
         death: Option<&[f64]>,
         sink: &mut T,
     ) -> Result<(SimOutcome, DrainTally), NocError> {
+        let (mut completion, mut stats) = self.outcome_buffers(mesh, messages.len());
         if self.mode == SimMode::Auto && self.cfg.faults.flaps().is_empty() {
-            let mut rs = self.pools.take_run();
-            let out = self.run_components(mesh, messages, setup, death, &mut rs, sink);
-            self.pools.put_run(rs);
-            if let Some(out) = out {
-                return Ok(out);
-            }
-        }
-        self.run_per_packet(mesh, messages, setup, death, sink)
-    }
-
-    /// The component driver. An untraced run first tries the fast path on
-    /// the whole DAG, skipping the union-find partition (the congested
-    /// schedules collapse to a single component anyway). If that attempt is
-    /// rejected, or the run is traced, the DAG is partitioned and each
-    /// component tried on the fast path in turn. One accept rule covers
-    /// both: keep a fast-path `Done` iff its makespan is at or before the
-    /// earliest death on its routes (∞ for static runs) — every packet
-    /// start precedes its own delivery, so no start then lands in a dead
-    /// window. A rejected component's links are zeroed and it re-runs
-    /// alone on the per-packet loop.
-    ///
-    /// A whole-DAG `Done` is bit-identical to the partitioned run:
-    /// components share no links, and the only cross-component interaction,
-    /// EPS-window taint, can force a `Contended` decline but never changes
-    /// `Done` arithmetic (a taint-denied exact tie declines before
-    /// committing).
-    ///
-    /// Returns `None` when a component's per-packet run *errors*.
-    fn run_components<T: TraceSink>(
-        &self,
-        mesh: &Mesh,
-        messages: &[Message],
-        setup: &RunSetup,
-        death: Option<&[f64]>,
-        rs: &mut RunScratch,
-        sink: &mut T,
-    ) -> Option<(SimOutcome, DrainTally)> {
-        let n = messages.len();
-        // Reciprocal bandwidth per link: the coalescing engine multiplies
-        // instead of dividing on its per-event path (tens of cycles saved
-        // per event; any sub-EPS reordering this could cause falls into the
-        // fallback tiers, so equivalence is unaffected).
-        rs.bw.clear();
-        rs.bw
-            .extend((0..mesh.link_id_space()).map(|i| 1.0 / self.cfg.bandwidth_of(LinkId(i))));
-        let (mut completion, busy) = self.pools.take_outcome();
-        completion.clear();
-        completion.resize(n, f64::NAN);
-        let mut stats = LinkStats::recycled(mesh, &self.cfg.faults, busy);
-        let mut tally = DrainTally::default();
-        let mut w = self.pools.take_work();
-        if !T::ENABLED {
-            // The identity map only ever grows — top it up, don't rebuild.
-            let have = rs.ident.len();
-            if have < n {
-                rs.ident.extend(have as u32..n as u32);
-            }
-            let all = &rs.ident[..n];
-            let attempt = coalesce::run_subset(
-                &self.cfg,
+            let bound = death.map(|d| earliest_death(setup, d));
+            let kept = self.run_fast(
                 mesh,
                 messages,
                 setup,
-                all,
-                &rs.ident,
-                &rs.bw,
-                &mut w.co,
+                bound,
                 &mut completion,
                 stats.busy_mut(),
                 sink,
             );
-            if matches!(attempt, Ok(Attempt::Done))
-                && death.is_none_or(|d| span(all, &completion) <= earliest_death(setup, all, d))
-            {
-                self.pools.put_work(w);
-                return Some((SimOutcome::new(completion, stats), tally));
+            if matches!(kept, Ok(true)) {
+                return Ok((SimOutcome::new(completion, stats), DrainTally::default()));
             }
-            stats.busy_mut().fill(0.0);
         }
-        partition_into(mesh, messages, setup, &mut rs.parts);
-        if death.is_some() {
-            tally.delivered_bytes.resize(n, 0);
-        }
-        // An untraced run has just tried the whole DAG on the fast path; a
-        // lone component is that same DAG, so trying it again would only
-        // repeat the rejected attempt.
-        let tried = !T::ENABLED && rs.parts.ncomps() == 1;
-        let ok = (0..rs.parts.ncomps()).all(|c| {
-            self.run_one_comp(
-                mesh,
-                messages,
-                setup,
-                rs.parts.members(c),
-                &rs.parts.g2l,
-                &rs.bw,
-                &mut w,
-                death,
-                !tried,
-                &mut completion,
-                stats.busy_mut(),
-                &mut tally,
-                sink,
-            )
-        });
-        self.pools.put_work(w);
-        if ok {
-            Some((SimOutcome::new(completion, stats), tally))
-        } else {
-            self.pools.put_outcome((completion, stats.into_busy()));
-            None
+        let run = self.run_per_packet_into(
+            mesh,
+            messages,
+            setup,
+            death,
+            &mut completion,
+            stats.busy_mut(),
+            sink,
+        );
+        match run {
+            Ok(tally) => Ok((SimOutcome::new(completion, stats), tally)),
+            Err(e) => {
+                self.pools.put_outcome((completion, stats.into_busy()));
+                Err(e)
+            }
         }
     }
 
-    /// Simulates one component under the driver's accept rule, writing its
-    /// completions and busy time into the global buffers and (under a
-    /// timeline) its drain bookkeeping into `tally`. Trace events reach
-    /// `sink` only from the engine whose result was kept, with global ids.
-    /// With `try_fast` unset the component goes straight to the per-packet
-    /// loop. Returns `false` when the per-packet fallback errors.
+    /// One coalescer pass over the whole DAG on pooled scratch, into the
+    /// caller's buffers (`busy` zeroed). Returns whether the result is
+    /// kept: the pass completed, with its makespan at or before `bound`
+    /// when one is given. A traced pass is buffered, so `sink` receives its
+    /// events only when it is kept; a declined pass leaves partial results
+    /// in the buffers.
     #[allow(clippy::too_many_arguments)]
-    fn run_one_comp<T: TraceSink>(
+    fn run_fast<T: TraceSink>(
         &self,
         mesh: &Mesh,
         messages: &[Message],
         setup: &RunSetup,
-        members: &[u32],
-        g2l: &[u32],
-        bw: &[f64],
-        w: &mut WorkerScratch,
-        death: Option<&[f64]>,
-        try_fast: bool,
+        bound: Option<f64>,
         completion: &mut [f64],
         busy: &mut [f64],
-        tally: &mut DrainTally,
         sink: &mut T,
-    ) -> bool {
-        // Buffer a traced attempt so a rejected one leaves no partial trace
-        // in the caller's sink.
+    ) -> Result<bool, NocError> {
+        let mut ws = self.pools.take_work();
         let mut buf = MemorySink::new();
-        let attempt = if !try_fast {
-            None
-        } else if T::ENABLED {
-            Some(coalesce::run_subset(
-                &self.cfg, mesh, messages, setup, members, g2l, bw, &mut w.co, completion, busy,
-                &mut buf,
-            ))
+        let attempt = if T::ENABLED {
+            coalesce::run(
+                &self.cfg, mesh, messages, setup, &mut ws, completion, busy, &mut buf,
+            )
         } else {
-            Some(coalesce::run_subset(
-                &self.cfg, mesh, messages, setup, members, g2l, bw, &mut w.co, completion, busy,
-                sink,
-            ))
+            coalesce::run(
+                &self.cfg, mesh, messages, setup, &mut ws, completion, busy, sink,
+            )
         };
-        let bound = death.map_or(f64::INFINITY, |d| earliest_death(setup, members, d));
-        if matches!(attempt, Some(Ok(Attempt::Done)))
-            && (bound == f64::INFINITY || span(members, completion) <= bound)
-        {
+        self.pools.put_work(ws);
+        let kept = attempt? == Attempt::Done && bound.is_none_or(|b| span(completion) <= b);
+        if kept {
             for ev in buf.events() {
                 sink.record(*ev);
             }
-        } else {
-            // Per-packet fallback. The death times only matter when one can
-            // reach the component's routes.
-            let live = death.filter(|_| bound < f64::INFINITY);
-            let run = if members.len() == messages.len() {
-                // The component is the whole DAG (members are `0..n`): run
-                // it in place, over the global buffers, with no copy of the
-                // DAG and no id remap.
-                if T::ENABLED {
-                    let mut buf = MemorySink::new();
-                    let r = self.run_per_packet_into(
-                        mesh, messages, setup, live, completion, busy, &mut buf,
-                    );
-                    if r.is_ok() {
-                        for ev in buf.events() {
-                            sink.record(*ev);
-                        }
-                    }
-                    r
-                } else {
-                    self.run_per_packet_into(mesh, messages, setup, live, completion, busy, sink)
-                }
-            } else {
-                self.run_sub_per_packet(
-                    mesh, messages, setup, members, live, w, completion, busy, sink,
-                )
-            };
-            let Ok(part) = run else {
-                return false;
-            };
-            if live.is_some() {
-                tally.absorb(&part, members);
-                return true;
-            }
         }
-        if death.is_some() {
-            // The timeline cannot have touched this component: every byte
-            // delivered, and the drain clock covers its makespan plus the
-            // longest busy tail a link can hold past the last delivery.
-            for &g in members {
-                tally.delivered_bytes[g as usize] = messages[g as usize].bytes;
-            }
-            let end = span(members, completion) + busy_tail_slack(&self.cfg, setup, members);
-            tally.end_ns = tally.end_ns.max(end);
-        }
-        true
+        Ok(kept)
     }
 
-    /// The per-packet fallback of one component that is not the whole DAG:
-    /// runs it as a standalone DAG with dense ids and merges its
-    /// completions, busy time and trace back under global ids. The
-    /// rejected fast-path attempt may have charged partial busy time, so
-    /// the component's links (its exclusive property — components are
-    /// link-disjoint) are zeroed before the merge.
-    #[allow(clippy::too_many_arguments)]
-    fn run_sub_per_packet<T: TraceSink>(
-        &self,
-        mesh: &Mesh,
-        messages: &[Message],
-        setup: &RunSetup,
-        members: &[u32],
-        live: Option<&[f64]>,
-        w: &mut WorkerScratch,
-        completion: &mut [f64],
-        busy: &mut [f64],
-        sink: &mut T,
-    ) -> Result<DrainTally, NocError> {
-        for &g in members {
-            for &l in setup.route(g as usize) {
-                busy[l.index()] = 0.0;
-            }
-        }
-        w.new_id.clear();
-        w.new_id.resize(messages.len(), 0);
-        let (msgs_c, setup_c) = component_problem(messages, setup, members, &mut w.new_id);
-        let (out_c, part) = if T::ENABLED {
-            let mut buf = MemorySink::new();
-            let r = self.run_per_packet(mesh, &msgs_c, &setup_c, live, &mut buf)?;
-            for ev in buf.events() {
-                sink.record(remap_msg(*ev, members));
-            }
-            r
-        } else {
-            self.run_per_packet(mesh, &msgs_c, &setup_c, live, sink)?
-        };
-        for (j, &g) in members.iter().enumerate() {
-            completion[g as usize] = out_c.completions()[j];
-        }
-        for (a, b) in busy.iter_mut().zip(out_c.link_stats().busy_slice()) {
-            *a += b;
-        }
-        Ok(part)
+    /// Pooled outcome buffers for a run of `n` messages: completions unset
+    /// (NaN), busy time zeroed.
+    fn outcome_buffers(&self, mesh: &Mesh, n: usize) -> (Vec<f64>, LinkStats) {
+        let (mut completion, busy) = self.pools.take_outcome();
+        completion.clear();
+        completion.resize(n, f64::NAN);
+        (
+            completion,
+            LinkStats::recycled(mesh, &self.cfg.faults, busy),
+        )
     }
 
     /// Runs the exact per-packet reference engine unconditionally.
@@ -694,13 +455,23 @@ impl PacketSim {
         sink: &mut T,
     ) -> Result<SimOutcome, NocError> {
         let setup = self.prepare(mesh, messages)?;
-        self.run_per_packet(mesh, messages, &setup, None, sink)
-            .map(|(outcome, _)| outcome)
+        let mut completion = vec![f64::NAN; messages.len()];
+        let mut stats = LinkStats::new(mesh, &self.cfg.faults);
+        self.run_per_packet_into(
+            mesh,
+            messages,
+            &setup,
+            None,
+            &mut completion,
+            stats.busy_mut(),
+            sink,
+        )?;
+        Ok(SimOutcome::new(completion, stats))
     }
 
-    /// Attempts only the coalescing fast path on the *whole* DAG (global
-    /// taint semantics, no partitioning), returning `Ok(None)` when it
-    /// declines (interleaved contention, or transient flaps configured).
+    /// Attempts only the coalescing fast path on the whole DAG, returning
+    /// `Ok(None)` when it declines (interleaved contention, or transient
+    /// flaps configured) and the fast path's own typed error otherwise.
     /// Used by the equivalence tests to assert which engine actually ran.
     ///
     /// # Errors
@@ -726,27 +497,29 @@ impl PacketSim {
         messages: &[Message],
         sink: &mut T,
     ) -> Result<Option<SimOutcome>, NocError> {
-        let setup = self.prepare(mesh, messages)?;
-        if !self.cfg.faults.flaps().is_empty() {
-            return Ok(None);
-        }
-        if T::ENABLED {
-            let mut buf = MemorySink::new();
-            match coalesce::run(&self.cfg, mesh, messages, &setup, &mut buf)? {
-                Coalesce::Done(out) => {
-                    for ev in buf.events() {
-                        sink.record(*ev);
-                    }
-                    Ok(Some(out))
-                }
-                Coalesce::Contended => Ok(None),
+        let mut rs = self.pools.take_run();
+        let result = self.prepare_into(mesh, messages, &mut rs).and_then(|()| {
+            if !self.cfg.faults.flaps().is_empty() {
+                return Ok(None);
             }
-        } else {
-            match coalesce::run(&self.cfg, mesh, messages, &setup, sink)? {
-                Coalesce::Done(out) => Ok(Some(out)),
-                Coalesce::Contended => Ok(None),
+            let (mut completion, mut stats) = self.outcome_buffers(mesh, messages.len());
+            let kept = self.run_fast(
+                mesh,
+                messages,
+                &rs.setup,
+                None,
+                &mut completion,
+                stats.busy_mut(),
+                sink,
+            );
+            if matches!(kept, Ok(true)) {
+                return Ok(Some(SimOutcome::new(completion, stats)));
             }
-        }
+            self.pools.put_outcome((completion, stats.into_busy()));
+            kept.map(|_| None)
+        });
+        self.pools.put_run(rs);
+        result
     }
 
     /// Validates the DAG, resolves routes through the shared cache, and
@@ -834,8 +607,9 @@ impl PacketSim {
         Ok(())
     }
 
-    /// The exact per-packet event loop: the reference engine, and the
-    /// fallback for components the fast path could not keep.
+    /// The exact per-packet event loop: the reference engine, and the whole
+    /// DAG's run whenever the fast path is not kept. Overwrites `completion`
+    /// (one entry per message) and `busy` (one per link id).
     ///
     /// With `death` = `None` it simulates the static fault model. Under a
     /// timeline's per-link death times it additionally drops a packet whose
@@ -843,30 +617,6 @@ impl PacketSim {
     /// that becomes ready after a route link has died (never injecting it),
     /// and tallies delivered/lost bytes and the drain clock. Static-fault
     /// stalls and watchdog trips stay typed errors either way.
-    pub(crate) fn run_per_packet<T: TraceSink>(
-        &self,
-        mesh: &Mesh,
-        messages: &[Message],
-        setup: &RunSetup,
-        death: Option<&[f64]>,
-        sink: &mut T,
-    ) -> Result<(SimOutcome, DrainTally), NocError> {
-        let mut completion = vec![f64::NAN; messages.len()];
-        let mut stats = LinkStats::new(mesh, &self.cfg.faults);
-        let tally = self.run_per_packet_into(
-            mesh,
-            messages,
-            setup,
-            death,
-            &mut completion,
-            stats.busy_mut(),
-            sink,
-        )?;
-        Ok((SimOutcome::new(completion, stats), tally))
-    }
-
-    /// [`Self::run_per_packet`] into caller-owned buffers: overwrites
-    /// `completion` (one entry per message) and `busy` (one per link id).
     ///
     /// The loop queues one event per injected message (a burst that serves
     /// every packet's first link in packet order), one per later packet-hop,
@@ -885,6 +635,12 @@ impl PacketSim {
         busy: &mut [f64],
         sink: &mut T,
     ) -> Result<DrainTally, NocError> {
+        // Slack on the stall watchdog's structural bound (below). The bound
+        // is exact, so any slack keeps a correct run clear of it; the slack
+        // only decides at which event a stuck loop is caught, and so the
+        // `stalled_at_ns` a trip reports. 16 is a small margin that every
+        // recorded `Stalled` value was produced with.
+        const STALL_BUDGET_SLACK: u64 = 16;
         let n = messages.len();
         let blocked = &setup.blocked;
         let faults = &self.cfg.faults;
@@ -939,7 +695,7 @@ impl PacketSim {
             .enumerate()
             .map(|(i, r)| r.count * (setup.route(i).len() as u64 + 1))
             .sum::<u64>()
-            .saturating_add(self.cfg.stall_budget_slack);
+            .saturating_add(STALL_BUDGET_SLACK);
         let mut st = PacketLoop {
             cfg: &self.cfg,
             messages,
@@ -1305,184 +1061,6 @@ impl NetworkSim for PacketSim {
     fn run(&mut self, mesh: &Mesh, messages: &[Message]) -> Result<SimOutcome, NocError> {
         self.simulate(mesh, messages)
     }
-}
-
-/// Builds the union-find partition into reusable scratch (see
-/// [`PartitionScratch`]): connected components over dependency edges and
-/// shared route links, path-halving find. Components are mutually
-/// link-disjoint and dependency-closed, listed in first-appearance order
-/// with members in id order, so each component run arbitrates same-time
-/// events exactly like the global run restricted to it.
-fn partition_into(mesh: &Mesh, messages: &[Message], setup: &RunSetup, ps: &mut PartitionScratch) {
-    fn find(parent: &mut [u32], mut x: u32) -> u32 {
-        while parent[x as usize] != x {
-            parent[x as usize] = parent[parent[x as usize] as usize];
-            x = parent[x as usize];
-        }
-        x
-    }
-    /// Unions `a` and `b`, returning whether two distinct sets merged.
-    fn union(parent: &mut [u32], a: u32, b: u32) -> bool {
-        let (ra, rb) = (find(parent, a), find(parent, b));
-        if ra != rb {
-            parent[ra as usize] = rb;
-            return true;
-        }
-        false
-    }
-    let n = messages.len();
-    let PartitionScratch {
-        parent,
-        link_owner,
-        route_owner,
-        root_comp,
-        cid,
-        comp_off,
-        cursor,
-        comp_members,
-        g2l,
-    } = ps;
-    parent.clear();
-    parent.extend(0..n as u32);
-    link_owner.clear();
-    link_owner.resize(mesh.link_id_space(), u32::MAX);
-    route_owner.clear();
-    route_owner.resize(setup.unique.len(), u32::MAX);
-    // One fused sweep: dependency edges union directly; link sharing unions
-    // through each *unique route's* first owner — messages repeating a
-    // (src, dst) pair collapse to a single union, and a route's links are
-    // walked exactly once across the whole run (the congested schedules
-    // have ~10^5 messages over a few hundred distinct pairs). A live set
-    // count lets the sweep stop the moment everything has merged: the
-    // congested schedules collapse to a single component, whose labeling is
-    // then written directly without the find/label pass.
-    let mut nsets = n as u32;
-    'sweep: for (i, m) in messages.iter().enumerate() {
-        for d in &m.deps {
-            if union(parent, i as u32, d.index() as u32) {
-                nsets -= 1;
-            }
-        }
-        let u = setup.route_of[i] as usize;
-        let o = route_owner[u];
-        if o == u32::MAX {
-            route_owner[u] = i as u32;
-            for &l in setup.route(i) {
-                let lo = link_owner[l.index()];
-                if lo == u32::MAX {
-                    link_owner[l.index()] = i as u32;
-                } else if union(parent, i as u32, lo) {
-                    nsets -= 1;
-                }
-            }
-        } else if union(parent, i as u32, o) {
-            nsets -= 1;
-        }
-        if nsets == 1 {
-            break 'sweep;
-        }
-    }
-    if nsets == 1 {
-        comp_off.clear();
-        comp_off.extend([0, n as u32]);
-        comp_members.clear();
-        comp_members.extend(0..n as u32);
-        g2l.clear();
-        g2l.extend(0..n as u32);
-        return;
-    }
-    root_comp.clear();
-    root_comp.resize(n, u32::MAX);
-    cid.clear();
-    cid.resize(n, 0);
-    let mut ncomps: u32 = 0;
-    for i in 0..n as u32 {
-        let r = find(parent, i) as usize;
-        if root_comp[r] == u32::MAX {
-            root_comp[r] = ncomps;
-            ncomps += 1;
-        }
-        cid[i as usize] = root_comp[r];
-    }
-    comp_off.clear();
-    comp_off.resize(ncomps as usize + 1, 0);
-    for &c in cid.iter() {
-        comp_off[c as usize + 1] += 1;
-    }
-    for c in 0..ncomps as usize {
-        comp_off[c + 1] += comp_off[c];
-    }
-    cursor.clear();
-    cursor.extend_from_slice(&comp_off[..ncomps as usize]);
-    comp_members.clear();
-    comp_members.resize(n, 0);
-    g2l.clear();
-    g2l.resize(n, 0);
-    for i in 0..n {
-        let c = cid[i] as usize;
-        let slot = cursor[c];
-        comp_members[slot as usize] = i as u32;
-        g2l[i] = slot - comp_off[c];
-        cursor[c] += 1;
-    }
-}
-
-/// Builds the standalone sub-problem for one partition component:
-/// messages with dense remapped ids (recorded in `new_id`, a scratch array
-/// of global length) and the matching route/blocked setup.
-fn component_problem(
-    messages: &[Message],
-    setup: &RunSetup,
-    comp: &[u32],
-    new_id: &mut [u32],
-) -> (Vec<Message>, RunSetup) {
-    for (j, &i) in comp.iter().enumerate() {
-        new_id[i as usize] = j as u32;
-    }
-    let msgs_c: Vec<Message> = comp
-        .iter()
-        .map(|&i| {
-            let m = &messages[i as usize];
-            Message::new(MsgId(new_id[i as usize] as usize), m.src, m.dst, m.bytes)
-                .with_deps(m.deps.iter().map(|d| MsgId(new_id[d.index()] as usize)))
-                .with_ready_at(m.ready_at_ns)
-        })
-        .collect();
-    let unique: Vec<Arc<[LinkId]>> = comp
-        .iter()
-        .map(|&i| Arc::clone(&setup.unique[setup.route_of[i as usize] as usize]))
-        .collect();
-    let route_of: Vec<u32> = (0..comp.len() as u32).collect();
-    let blocked: Vec<bool> = comp.iter().map(|&i| setup.blocked[i as usize]).collect();
-    (
-        msgs_c,
-        RunSetup {
-            unique,
-            route_of,
-            blocked,
-        },
-    )
-}
-
-/// Rewrites a component-local trace event's message id back to the global
-/// DAG's id (`comp[local] == global`); used when the per-component fallback
-/// flushes its buffered trace to the caller's sink.
-fn remap_msg(ev: TraceEvent, comp: &[u32]) -> TraceEvent {
-    let orig = |m: MsgId| MsgId(comp[m.index()] as usize);
-    let mut ev = ev;
-    match &mut ev {
-        TraceEvent::Inject { msg, .. }
-        | TraceEvent::PacketHop { msg, .. }
-        | TraceEvent::TrainHop { msg, .. }
-        | TraceEvent::TrainSplit { msg, .. }
-        | TraceEvent::PacketDrop { msg, .. }
-        | TraceEvent::Deliver { msg, .. } => *msg = orig(*msg),
-        TraceEvent::Reduce { .. }
-        | TraceEvent::FaultArrival { .. }
-        | TraceEvent::Drain { .. }
-        | TraceEvent::Resume { .. } => {}
-    }
-    ev
 }
 
 /// Size of the final packet of a `total_bytes` message split into `count`

@@ -50,19 +50,13 @@ impl LinkStats {
         &mut self.busy_ns
     }
 
-    /// Read access to the raw per-link busy accumulator; used when merging a
-    /// component fallback outcome into a pooled global buffer.
-    pub(crate) fn busy_slice(&self) -> &[f64] {
-        &self.busy_ns
-    }
-
     pub(crate) fn add_busy(&mut self, link: LinkId, ns: f64) {
         self.busy_ns[link.index()] += ns;
     }
 
-    /// Folds another run's busy time in link-wise; used by the scoped
-    /// fallback to merge per-component outcomes (components are
-    /// link-disjoint, so each link's total comes from exactly one side).
+    /// Folds another run's busy time in link-wise; used by
+    /// [`splice_outcomes`](crate::splice_outcomes) to sum the segments of a
+    /// resumed online run.
     pub(crate) fn absorb(&mut self, other: &LinkStats) {
         debug_assert_eq!(self.busy_ns.len(), other.busy_ns.len());
         for (a, b) in self.busy_ns.iter_mut().zip(&other.busy_ns) {

@@ -10,10 +10,9 @@
 //!   is delivered, no packet departs a hop before it arrives, no two
 //!   packets hold one directed link at once (delegated to
 //!   [`InvariantAuditor::check_trace`] over the exact per-packet engine),
-//! * **fast-path lower bound** — for every component of the DAG the
-//!   packet-train fast path carried (the whole DAG, or the uncontended
-//!   components under the scoped fallback), its per-hop start curves may
-//!   never precede the per-packet reference
+//! * **fast-path lower bound** — when the packet-train fast path carried
+//!   the run (it carries the whole DAG or none of it), its per-hop start
+//!   curves may never precede the per-packet reference
 //!   ([`InvariantAuditor::check_fast_path`]),
 //! * **schedule conformance** — every declared dependency is honored: a
 //!   dependent op's injection never precedes its dependency's delivery,
@@ -206,9 +205,8 @@ impl SimEngine {
             .violations
             .extend(trace.violations.into_iter().map(AuditViolation::Trace));
 
-        // The Auto engine's trace: train claims for every component the
-        // fast path kept (globally, or per scoped-fallback component), and
-        // per-packet events for components that fell back. Any train claim
+        // The Auto engine's trace: train claims when the fast path kept the
+        // whole DAG, per-packet events when it fell back. Any train claim
         // is cross-checked against the per-packet lower bound; a trace with
         // no trains means the whole DAG ran per-packet and there is nothing
         // to cross-check.

@@ -79,8 +79,8 @@ fn tto_schedules_time_identically() {
 
 /// Asserts the Auto engine carries `algo` at `data` bytes entirely on the
 /// packet-train fast path: the trace must contain train hops and no
-/// per-packet hop at all (i.e. neither the global fallback nor any scoped
-/// component dropped to the reference engine).
+/// per-packet hop at all (i.e. the run did not fall back to the reference
+/// engine).
 fn assert_fast_path_carries(mesh: &Mesh, algo: Algorithm, data: u64) {
     let schedule = algo.schedule(mesh, data).unwrap();
     let engine = SimEngine::paper_default();

@@ -20,9 +20,9 @@ static ALLOC: CountingAlloc = CountingAlloc::new();
 fn steady_state_simulate_recycle_performs_zero_allocations() {
     let mesh = Mesh::square(5).expect("5x5 mesh");
     // 16 MB stays entirely on the packet-train fast path (the per-packet
-    // fallback is exempt from the zero-alloc contract: a declined
-    // component re-runs through the reference engine, which builds its
-    // per-packet state afresh).
+    // fallback is exempt from the zero-alloc contract: a declined DAG
+    // re-runs through the reference engine, which builds its per-packet
+    // state afresh).
     let schedule = Algorithm::Tto
         .schedule(&mesh, 16 << 20)
         .expect("TTO 16MB schedule");
