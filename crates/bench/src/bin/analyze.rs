@@ -93,7 +93,11 @@ fn main() {
                         &mut violations,
                     );
                 }
-                Err(CollectiveError::Infeasible { reason }) => {
+                // One dead link never disconnects a mesh: every algorithm with a
+                // repair strategy must repair it.
+                Err(CollectiveError::Infeasible {
+                    reason: reason @ fault::NO_REPAIR_STRATEGY,
+                }) => {
                     println!(
                         "{:<8} {:<12} {:<10} {:>12} {:>12} {:>10}  ({reason})",
                         mesh.to_string(),
@@ -101,7 +105,7 @@ fn main() {
                         "dead link",
                         "-",
                         "-",
-                        "infeasible"
+                        "no repair"
                     );
                 }
                 Err(e) => panic!("{algo} repair on {mesh}: {e}"),

@@ -74,7 +74,11 @@ fn main() {
                         .unwrap_or_else(|e| panic!("{algo} repaired on {mesh}: {e}"));
                     print_row(&mesh, algo, "dead link", &report, &mut records, &mut dirty);
                 }
-                Err(CollectiveError::Infeasible { reason }) => {
+                // One dead link never disconnects a mesh: every algorithm with a
+                // repair strategy must repair it.
+                Err(CollectiveError::Infeasible {
+                    reason: reason @ fault::NO_REPAIR_STRATEGY,
+                }) => {
                     println!(
                         "{:<8} {:<12} {:<10} {:>9} {:>8} {:>10}  ({reason})",
                         mesh.to_string(),
@@ -82,7 +86,7 @@ fn main() {
                         "dead link",
                         "-",
                         "-",
-                        "infeasible"
+                        "no repair"
                     );
                 }
                 Err(e) => panic!("{algo} repair on {mesh}: {e}"),

@@ -7,7 +7,7 @@
 //!   touching a dead chiplet, and any dead participant is reported.
 //! * [`repair`] — regenerates a schedule for the surviving topology.
 //!   Ring-family algorithms get a new cycle from the masked Hamiltonian
-//!   search, with survivors the cycle could not place attached as
+//!   construction, with survivors the cycle could not place attached as
 //!   feeder/drain chains (the same mechanism RingBiOdd uses for its
 //!   excluded corner). Tree-family algorithms get trees regrown over the
 //!   usable links. In every case the gradient is re-split across the
@@ -124,7 +124,7 @@ pub struct Repair {
 ///
 /// With an empty fault set this is exactly
 /// [`Algorithm::schedule_with`]. Under faults, Ring and the bidirectional
-/// rings rebuild their cycles with the masked Hamiltonian search, MultiTree
+/// rings rebuild their cycles with the masked Hamiltonian construction, MultiTree
 /// regrows its conflict-free trees over the usable links, and TTO re-roots
 /// disjoint trees around the faults (three trees with one sidelined relay
 /// when possible, degrading to two trees or one). Gradient shares are
@@ -162,10 +162,15 @@ pub fn repair(
         }),
         Algorithm::Tto => repaired_tto(mesh, faults, data_bytes, opts.tto_chunk_bytes),
         _ => Err(CollectiveError::Infeasible {
-            reason: "no fault-repair strategy for this algorithm",
+            reason: NO_REPAIR_STRATEGY,
         }),
     }
 }
+
+/// The [`CollectiveError::Infeasible`] reason [`repair`] gives for an
+/// algorithm it has no strategy for (anything but Ring, the bidirectional
+/// rings, MultiTree and TTO), whatever the faults.
+pub const NO_REPAIR_STRATEGY: &str = "no fault-repair strategy for this algorithm";
 
 /// Maps the masked-topology `Infeasible` into the collectives-level one so
 /// callers can match a single variant.

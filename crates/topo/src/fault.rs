@@ -197,6 +197,16 @@ impl FaultModel {
         self.failed_links.len()
     }
 
+    /// The dead chiplets, in id order.
+    pub(crate) fn failed_nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
+        self.failed_nodes.iter().map(|&n| NodeId(n))
+    }
+
+    /// The dead directed links, in id order.
+    pub(crate) fn failed_links(&self) -> impl Iterator<Item = LinkId> + '_ {
+        self.failed_links.iter().map(|&l| LinkId(l))
+    }
+
     /// The transient outage windows.
     pub fn flaps(&self) -> &[LinkFlap] {
         &self.flaps
