@@ -4,16 +4,17 @@
 //!
 //! 1. An engine microbenchmark — one uncongested 64 MB message, timed under
 //!    the packet-train fast path and under the exact per-packet reference —
-//!    reporting the fast-path speedup and the makespan drift between them.
+//!    reporting the fast-path speedup and asserting the two makespans are
+//!    bit-identical.
 //! 2. Wall-clock timings of a fixed set of representative collective runs
 //!    (5x5 mesh, TTO / RingBiOdd / Ring at 1–64 MB) on the production
 //!    `Auto` engine.
 //! 3. The congested-workload suite — full 64 MB TTO / Ring / RingBiOdd
 //!    schedules on a 5x5 mesh, timed under `Auto` and under the forced
 //!    per-packet reference. Each run is asserted to stay on the
-//!    packet-train fast path (no per-packet fallback) with ≤1e-6 ns
-//!    drift, and the suite aggregate (geometric mean of the per-workload
-//!    speedups) must clear ≥1.24x.
+//!    packet-train fast path (no per-packet fallback) with a makespan
+//!    bit-identical to the reference's, and the suite aggregate (geometric
+//!    mean of the per-workload speedups) must clear ≥1.24x.
 //!
 //! Every speedup here is measured against the per-packet reference, which
 //! itself queues one event per first-hop burst rather than one per
@@ -91,7 +92,7 @@ fn main() {
     println!("Engine microbenchmark: one uncongested 64MB message (1x2 mesh)");
     println!("  per-packet reference: {ref_us:>10.1} us/run");
     println!("  packet-train fast:    {fast_us:>10.1} us/run  ({speedup:.0}x speedup)");
-    println!("  makespan drift:       {drift:.3e} ns (tolerance 1e-6)");
+    println!("  makespan drift:       {drift:.3e} ns (must be 0: bit-identical)");
     records.push(
         Record::new("perf_baseline", "1x2", "engine_fastpath", "64MB")
             .with("fast_micros", fast_us)
@@ -181,9 +182,12 @@ fn main() {
         let run_a = auto.run(&mesh, &schedule).expect("congested auto run");
         let run_e = exact.run(&mesh, &schedule).expect("congested exact run");
         let cdrift = (run_a.total_time_ns - run_e.total_time_ns).abs();
-        assert!(
-            cdrift <= 1e-6,
-            "{algo} 64MB drifted {cdrift:.3e} ns from the reference"
+        assert_eq!(
+            run_a.total_time_ns.to_bits(),
+            run_e.total_time_ns.to_bits(),
+            "{algo} 64MB: fast path {} ns vs reference {} ns",
+            run_a.total_time_ns,
+            run_e.total_time_ns
         );
         let wall_a = min_micros(creps, || {
             auto.run(&mesh, &schedule).unwrap();
@@ -240,9 +244,12 @@ fn main() {
         speedup >= 5.0,
         "fast path regressed: {speedup:.1}x < 5x over the per-packet reference"
     );
-    assert!(
-        drift <= 1e-6,
-        "fast path drifted {drift:.3e} ns from the reference"
+    assert_eq!(
+        fast_out.makespan_ns().to_bits(),
+        ref_out.makespan_ns().to_bits(),
+        "fast path {} ns vs reference {} ns",
+        fast_out.makespan_ns(),
+        ref_out.makespan_ns()
     );
     assert!(
         suite_speedup >= 1.24,

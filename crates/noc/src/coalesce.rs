@@ -24,34 +24,42 @@
 //!
 //! # When coalescing is sound
 //!
-//! The per-packet engine serves each link FIFO in event `(arrival, seq)`
-//! order. A train's packet events at a link span the window
-//! `[arrival[0], arrival[P-1]]`. Contention is arbitrated at link
-//! granularity, in three tiers:
+//! Both engines run on the integer picosecond clock of [`crate::time`] and
+//! order same-instant events by its one tie-order key `(time, class, age,
+//! message id, packet)`. The per-packet engine serves each link FIFO in that
+//! key order, so a train's packets at a link hold the key range from its
+//! head's key to its last packet's, and the fast path compares keys, never
+//! times within a tolerance. Train events pop in ascending key order, so an
+//! arriving head always sorts after the head of the link's latest
+//! committed window. Contention is arbitrated at link granularity, in two
+//! tiers plus a decline:
 //!
-//! 1. **Exact flat ties at injection.** Collective schedules routinely
-//!    inject several trains onto one link at the *bit-identical* instant
-//!    (same ready time or same dependency completion). Both engines then
-//!    serve the trains back-to-back in injection (`seq`) order, which the
-//!    fast path reproduces by appending the tying train behind the committed
-//!    window. This only holds when injection order itself is provable:
-//!    dependents released by deliveries that are within the equivalence
-//!    tolerance of each other are *tainted* (the engines may disagree on
-//!    their relative order) and may not claim a tie.
-//! 2. **FIFO train splitting.** When a flat train's head lands strictly
-//!    inside another train's *sloped* committed window — cleanly between two
-//!    of its packet arrivals — the per-packet FIFO order is still provable:
-//!    the owner's first `split_index` packets, then the whole interloper,
-//!    then the owner's tail. The fast path re-serves the owner's tail behind
-//!    the interloper, amends the owner's downstream curve (or re-arms its
+//! 1. **Append.** A head whose key sorts after the window's last packet —
+//!    later in time, or at the same instant with a later class, a later age
+//!    or a higher message id, at any hop — is served after everything
+//!    committed, which is exactly the per-packet FIFO order. Collective
+//!    schedules routinely put several trains onto one link at one instant;
+//!    they append in key order. A window whose packets all arrive at one instant (a hop-0
+//!    injection, or a single packet) holds one key range no other train's
+//!    key can fall inside, so such windows only ever take appends.
+//! 2. **FIFO train splitting.** When a flat train's head sorts inside
+//!    another train's *sloped* committed window, the per-packet FIFO order
+//!    is still provable: the owner's first `split_index` packets (those
+//!    whose keys sort before the head), then the whole interloper, then the
+//!    owner's tail. The fast path re-serves the owner's tail behind the
+//!    interloper, amends the owner's downstream curve (or re-arms its
 //!    delivery), and emits a [`TraceEvent::TrainSplit`].
-//! 3. **Decline.** Everything else — near-ties inside the equivalence
-//!    tolerance, ≥2 interlopers in one window, heads landing within the
-//!    tolerance of a packet arrival — returns [`Attempt::Contended`], and
-//!    the caller runs the whole DAG through the per-packet engine instead
-//!    (see [`PacketSim`](crate::PacketSim)). Transient link flaps are also
-//!    left to the per-packet engine (each packet must individually re-check
-//!    the outage windows).
+//! 3. **Decline.** Everything else — a second interloper in one window, a
+//!    sloped interloper, an owner whose next hop already committed — returns
+//!    [`Attempt::Contended`], and the caller runs the whole DAG through the
+//!    per-packet engine instead (see [`PacketSim`](crate::PacketSim)). So do
+//!    a zero header latency (events could then create same-instant events
+//!    that sort before them) and transient link flaps (each packet must
+//!    individually re-check the outage windows).
+//!
+//! Each kept run's arithmetic is the per-packet engine's, term for term, in
+//! integers, so its completions and per-link busy time are bit-identical to
+//! the per-packet engine's.
 //!
 //! # Scratch-backed runs
 //!
@@ -65,71 +73,79 @@
 //! asserted by `sim/tests/zero_alloc.rs` through the counting allocator in
 //! `meshcoll_util::alloc`.
 
-use meshcoll_topo::{LinkId, Mesh};
+use meshcoll_topo::Mesh;
 
-use crate::audit::DEFAULT_TOLERANCE_NS;
 use crate::packet_sim::{last_packet_bytes, RunSetup};
+use crate::time::{
+    link_carries, ns_to_ps, ps_to_ns, rank, rank_class, LinkTiming, DELIVER, HOP, INJECT,
+};
 use crate::trace::{TraceEvent, TraceSink};
 use crate::{Message, NocConfig, NocError};
-
-/// Ambiguity margin, matched to the equivalence/audit tolerance: two event
-/// times closer than this may be ordered differently by the two engines
-/// (floating-point reassociation), so the fast path refuses to arbitrate.
-const EPS: f64 = DEFAULT_TOLERANCE_NS;
 
 /// Outcome of one fast-path attempt, with results written into the
 /// caller's buffers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Attempt {
     /// The run completed; completions/busy time were written.
-    Done,
+    Done {
+        /// The latest delivery, ps.
+        makespan_ps: u64,
+    },
     /// FIFO order unprovable somewhere in the DAG; the caller must re-run
     /// it through the per-packet engine.
     Contended,
 }
 
-/// Train-level event kind.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-enum Kind {
-    /// The head packet of `msg` arrives at hop `hop` of its route.
-    Arrive,
-    /// The last packet of `msg` reaches its destination (generation `gen`;
-    /// superseded deliveries are lazily dropped).
-    Deliver,
-}
-
-/// Monotone order-preserving bit image of an event time: for any two
-/// non-NaN `f64`s, `tkey(a) < tkey(b)` iff `a.total_cmp(&b)` is `Less`.
-/// Pre-computing it once per event turns every queue comparison (sorts,
-/// overflow scans, two-source pops) into a plain integer compare instead of
-/// a sign-magnitude `total_cmp` dance.
-#[inline]
-fn tkey(t: f64) -> u64 {
-    let b = t.to_bits();
-    b ^ (((b as i64 >> 63) as u64) | 0x8000_0000_0000_0000)
-}
-
-/// One train-level event. Ordering is `(key, seq)` — `key` is the event
-/// time's [`tkey`] image and `seq` is unique. Kept to 24 bytes (`hop` as
-/// `u16`, `seq` as `u32`) so queue traffic stays cheap — the congested
-/// sweeps move hundreds of thousands of these. `msg` is the message id.
+/// One train-level event, ordered like the per-packet engine's events by
+/// the tie-order key of [`crate::time`]: `(at, rank, msg)`, where `rank`
+/// packs the class above the age. An arrival at hop 0 is an injection
+/// (class [`INJECT`]), a later arrival is its head packet's hop event
+/// ([`HOP`]), and a delivery is its last packet's ([`DELIVER`]); `hop` and
+/// `gen` only make the order total. Kept to 24 bytes so queue traffic stays
+/// cheap — the congested sweeps move hundreds of thousands of these.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 struct Event {
-    key: u64,
-    seq: u32,
+    /// Time in ps.
+    at: u64,
+    rank: u64,
     msg: u32,
-    gen: u32,
+    /// The route hop the head arrives at (arrivals), or the final hop
+    /// (deliveries).
     hop: u16,
-    kind: Kind,
+    /// Delivery generation: a final-hop train split supersedes a queued
+    /// delivery by bumping the message's generation (stale events drop
+    /// lazily).
+    gen: u16,
 }
 
 impl Event {
-    /// The event time in ns (inverts [`tkey`]).
+    /// Filler for unused chunk slots.
+    const EMPTY: Event = Event {
+        at: 0,
+        rank: 0,
+        msg: 0,
+        hop: 0,
+        gen: 0,
+    };
+
     #[inline]
-    fn at(self) -> f64 {
-        let k = self.key;
-        f64::from_bits(k ^ ((((!k) as i64 >> 63) as u64) | 0x8000_0000_0000_0000))
+    fn is_delivery(self) -> bool {
+        rank_class(self.rank) == DELIVER
     }
+}
+
+/// Events per bucket chunk.
+const CHUNK: usize = 8;
+/// The end of a chunk list.
+const NONE: u32 = u32::MAX;
+
+/// A fixed-size block of one bucket's events. A bucket is a linked list of
+/// chunks drawn from the queue's shared slab.
+#[derive(Debug, Clone, Copy)]
+struct Chunk {
+    events: [Event; CHUNK],
+    len: u32,
+    next: u32,
 }
 
 /// Two-level event queue tuned for wave-synchronous collective schedules.
@@ -142,22 +158,28 @@ impl Event {
 /// per wave costs far less than per-event heap sifts on a wave-sized heap.
 /// Events pushed while a bucket drains (cut-through next-hop arrivals land
 /// a fraction of a bucket later) go to the small `overflow` heap, and
-/// `pop`/`peek` take the minimum of the two sources, so ordering is exact:
+/// `pop` takes the minimum of the two sources, so ordering is exact:
 /// `bucket(t1) < bucket(t2)` implies `t1 < t2`, same-bucket order is
 /// restored by the sort, and the overflow merge handles intra-bucket
 /// arrivals. Events past the estimated horizon clamp into the last bucket,
 /// degrading gracefully to sorted-array behaviour.
 ///
+/// A bucket is a list of fixed-size chunks from one shared slab, and a
+/// drained bucket returns its chunks to the free list, so the queue's
+/// memory follows the events parked at once, not every event of the run.
 /// The queue is reusable: [`EventQueue::reset`] re-arms it for a new run
-/// without deallocating. `buckets` only ever grows; `nbuckets` is the
-/// logical prefix in use for the current run, so shrinking runs never
-/// release (and re-acquire) the inner bucket vectors.
+/// without deallocating. `buckets` and the slab only ever grow;
+/// `nbuckets` is the logical prefix in use for the current run.
 #[derive(Debug, Default)]
 struct EventQueue {
     inv_width: f64,
-    buckets: Vec<Vec<Event>>,
+    /// First and last chunk of each bucket (`NONE` when empty).
+    buckets: Vec<(u32, u32)>,
     /// Logical bucket count for the current run (`<= buckets.len()`).
     nbuckets: usize,
+    /// The chunk slab all buckets draw from, and its free chunks.
+    chunks: Vec<Chunk>,
+    free: Vec<u32>,
     /// Drain floor: one past the bucket currently draining. Pushes into
     /// buckets strictly before it go to `overflow`; event times never
     /// precede the current drain time, so nothing is ever lost behind the
@@ -190,12 +212,12 @@ struct EventQueue {
 
 impl EventQueue {
     /// Re-arms the queue for a new run of `expected_events` over
-    /// `horizon_ns`, sweeping any events left by a `Contended` abort.
-    fn reset(&mut self, horizon_ns: f64, expected_events: usize) {
+    /// `horizon_ps`, sweeping any events left by a `Contended` abort.
+    fn reset(&mut self, horizon_ps: u64, expected_events: usize) {
         if self.parked > 0 {
-            for b in &mut self.buckets[..self.nbuckets] {
-                b.clear();
-            }
+            self.buckets[..self.nbuckets].fill((NONE, NONE));
+            self.free.clear();
+            self.free.extend(0..self.chunks.len() as u32);
             self.parked = 0;
         }
         self.active.clear();
@@ -207,22 +229,23 @@ impl EventQueue {
         // for degenerate inputs.
         let nbuckets = (expected_events / 4).clamp(16, 1 << 19);
         if nbuckets > self.buckets.len() {
-            self.buckets.resize_with(nbuckets, Vec::new);
+            self.buckets.resize(nbuckets, (NONE, NONE));
         }
         self.nbuckets = nbuckets;
-        let width = (horizon_ns / nbuckets as f64).max(1e-3);
+        let width = (horizon_ps as f64 / nbuckets as f64).max(1.0);
         self.inv_width = 1.0 / width;
     }
 
+    /// The bucket of time `at` (ps): monotone in `at`, so `bucket(t1) <
+    /// bucket(t2)` implies `t1 < t2`.
     #[inline]
-    fn bucket_of(&self, at: f64) -> usize {
-        // The `as` cast saturates: negative times clamp to bucket 0.
-        ((at * self.inv_width) as usize).min(self.nbuckets - 1)
+    fn bucket_of(&self, at: u64) -> usize {
+        ((at as f64 * self.inv_width) as usize).min(self.nbuckets - 1)
     }
 
     #[inline]
     fn push(&mut self, ev: Event) {
-        let b = self.bucket_of(ev.at());
+        let b = self.bucket_of(ev.at);
         if b < self.floor {
             match self.overflow.front() {
                 Some(front) if ev < *front => self.overflow.push_front(ev),
@@ -246,8 +269,44 @@ impl EventQueue {
             }
         } else {
             self.hint = self.hint.min(b);
-            self.buckets[b].push(ev);
+            let last = self.buckets[b].1;
+            match self.chunks.get_mut(last as usize) {
+                Some(c) if (c.len as usize) < CHUNK => {
+                    c.events[c.len as usize] = ev;
+                    c.len += 1;
+                }
+                _ => {
+                    let fresh = self.take_chunk(ev);
+                    if last == NONE {
+                        self.buckets[b] = (fresh, fresh);
+                    } else {
+                        self.chunks[last as usize].next = fresh;
+                        self.buckets[b].1 = fresh;
+                    }
+                }
+            }
             self.parked += 1;
+        }
+    }
+
+    /// A chunk holding just `ev`: a free one, else a new one on the slab.
+    fn take_chunk(&mut self, ev: Event) -> u32 {
+        let mut events = [Event::EMPTY; CHUNK];
+        events[0] = ev;
+        let chunk = Chunk {
+            events,
+            len: 1,
+            next: NONE,
+        };
+        match self.free.pop() {
+            Some(c) => {
+                self.chunks[c as usize] = chunk;
+                c
+            }
+            None => {
+                self.chunks.push(chunk);
+                (self.chunks.len() - 1) as u32
+            }
         }
     }
 
@@ -260,15 +319,23 @@ impl EventQueue {
             return;
         }
         let mut cur = self.hint.max(self.floor);
-        while self.buckets[cur].is_empty() {
+        while self.buckets[cur].0 == NONE {
             cur += 1;
         }
         self.floor = cur + 1;
         self.hint = cur + 1;
-        self.parked -= self.buckets[cur].len();
         self.active.clear();
         self.head = 0;
-        self.active.append(&mut self.buckets[cur]);
+        let mut c = self.buckets[cur].0;
+        while c != NONE {
+            let chunk = &self.chunks[c as usize];
+            self.active
+                .extend_from_slice(&chunk.events[..chunk.len as usize]);
+            self.free.push(c);
+            c = chunk.next;
+        }
+        self.buckets[cur] = (NONE, NONE);
+        self.parked -= self.active.len();
         self.active.sort_unstable();
     }
 
@@ -301,52 +368,30 @@ impl EventQueue {
             }
         }
     }
-
-    #[inline]
-    fn peek(&mut self) -> Option<Event> {
-        loop {
-            match (self.active.get(self.head), self.overflow.front()) {
-                (Some(&a), Some(&o)) => return Some(if a <= o { a } else { o }),
-                (Some(&a), None) => return Some(a),
-                (None, Some(&o)) => return Some(o),
-                (None, None) => {
-                    if self.parked == 0 {
-                        return None;
-                    }
-                    self.refill();
-                }
-            }
-        }
-    }
 }
 
 /// One linear piece of a per-hop curve: packets `k0..` start (or arrive) at
-/// `t + (k - k0) · slope` until the next segment's `k0`.
-#[derive(Debug, Clone, Copy)]
+/// `t + (k - k0) · slope` ps until the next segment's `k0`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Seg {
     k0: u64,
-    t: f64,
-    slope: f64,
+    t: u64,
+    slope: u64,
 }
 
 /// Evaluates a piecewise-linear curve at packet index `k`. Committed curves
 /// are overwhelmingly single-segment (uncontended trains), so that case
 /// skips the binary search.
 #[inline]
-fn eval(curve: &[Seg], k: u64) -> f64 {
-    let seg = if curve.len() == 1 {
-        &curve[0]
-    } else {
-        &curve[curve.partition_point(|s| s.k0 <= k) - 1]
-    };
-    seg.t + (k - seg.k0) as f64 * seg.slope
+fn eval(curve: &[Seg], k: u64) -> u64 {
+    curve.eval_at(k)
 }
 
-/// Appends `seg`, merging when it is a bit-exact continuation of the last
+/// Appends `seg`, merging when it is an exact continuation of the last
 /// segment (same slope, collinear) so curves stay minimal.
 fn push_seg(out: &mut Vec<Seg>, seg: Seg) {
     if let Some(last) = out.last() {
-        if last.slope == seg.slope && last.t + (seg.k0 - last.k0) as f64 * last.slope == seg.t {
+        if last.slope == seg.slope && last.t + (seg.k0 - last.k0) * last.slope == seg.t {
             return;
         }
     }
@@ -367,13 +412,13 @@ trait CurveLike: Copy {
     /// Evaluates the curve at packet index `k`. Uncontended trains commit
     /// single-segment curves, so that case skips the binary search.
     #[inline]
-    fn eval_at(self, k: u64) -> f64 {
+    fn eval_at(self, k: u64) -> u64 {
         let sg = if self.nsegs() == 1 {
             self.seg_at(0)
         } else {
             self.seg_at(self.search(k))
         };
-        sg.t + (k - sg.k0) as f64 * sg.slope
+        sg.t + (k - sg.k0) * sg.slope
     }
 }
 
@@ -417,8 +462,8 @@ impl CurveRef {
 #[derive(Debug, Default)]
 struct CurveStore {
     k0: Vec<u64>,
-    t: Vec<f64>,
-    slope: Vec<f64>,
+    t: Vec<u64>,
+    slope: Vec<u64>,
 }
 
 impl CurveStore {
@@ -428,24 +473,10 @@ impl CurveStore {
         self.slope.clear();
     }
 
-    /// Commits `segs` verbatim and returns its extent.
-    fn commit(&mut self, segs: &[Seg]) -> CurveRef {
-        let off = self.k0.len() as u32;
-        for sg in segs {
-            self.k0.push(sg.k0);
-            self.t.push(sg.t);
-            self.slope.push(sg.slope);
-        }
-        CurveRef {
-            off,
-            len: segs.len() as u32,
-        }
-    }
-
     /// Commits `segs` with every segment's time shifted by `dt` (the
-    /// cut-through hop latency), preserving the exact per-segment arithmetic
-    /// of shifting start curves into next-hop arrival curves.
-    fn commit_shifted(&mut self, segs: &[Seg], dt: f64) -> CurveRef {
+    /// cut-through hop latency: a start curve becomes the next hop's
+    /// arrival curve) and returns its extent.
+    fn commit_shifted(&mut self, segs: &[Seg], dt: u64) -> CurveRef {
         let off = self.k0.len() as u32;
         for sg in segs {
             self.k0.push(sg.k0);
@@ -473,8 +504,8 @@ impl CurveStore {
 #[derive(Debug, Clone, Copy)]
 struct CurveView<'a> {
     k0: &'a [u64],
-    t: &'a [f64],
-    slope: &'a [f64],
+    t: &'a [u64],
+    slope: &'a [u64],
 }
 
 impl CurveLike for CurveView<'_> {
@@ -509,11 +540,13 @@ impl CurveLike for CurveView<'_> {
 /// *arrival-following* (starts equal arrivals, possible only when the
 /// arrival slope is ≥ `s`). The crossing inside a segment is found by
 /// binary search on the sign of `arrival − line`, which is linear there.
-fn serve_curve_into<C: CurveLike>(st0: f64, s: f64, arr: C, pcount: u64, out: &mut Vec<Seg>) {
+/// Every value is the recurrence's own, exactly: integer times do not
+/// depend on how the additions are grouped.
+fn serve_curve_into<C: CurveLike>(st0: u64, s: u64, arr: C, pcount: u64, out: &mut Vec<Seg>) {
     debug_assert!(st0 >= arr.eval_at(0));
     out.clear();
     let mut k: u64 = 0;
-    let mut prev: f64 = 0.0; // start of packet k-1 (meaningful once k > 0)
+    let mut prev: u64 = 0; // start of packet k-1 (meaningful once k > 0)
     while k < pcount {
         let i = arr.search(k);
         let seg = arr.seg_at(i);
@@ -523,9 +556,9 @@ fn serve_curve_into<C: CurveLike>(st0: f64, s: f64, arr: C, pcount: u64, out: &m
             pcount
         };
         let m = seg.slope;
-        let a_k = seg.t + (k - seg.k0) as f64 * m;
+        let a_k = seg.t + (k - seg.k0) * m;
         let q0 = if k == 0 { st0 } else { (prev + s).max(a_k) };
-        let a_end = seg.t + (end - 1 - seg.k0) as f64 * m;
+        let a_end = seg.t + (end - 1 - seg.k0) * m;
         if q0 <= a_k && m >= s {
             // No backlog and arrivals at least service-spaced: starts track
             // arrivals through the rest of this segment.
@@ -540,40 +573,32 @@ fn serve_curve_into<C: CurveLike>(st0: f64, s: f64, arr: C, pcount: u64, out: &m
             prev = a_end;
             k = end;
         } else {
-            let line = |kk: u64| q0 + (kk - k) as f64 * s;
+            let line = |kk: u64| q0 + (kk - k) * s;
+            push_seg(
+                out,
+                Seg {
+                    k0: k,
+                    t: q0,
+                    slope: s,
+                },
+            );
             if m > s && a_end > line(end - 1) {
                 // The backlog drains inside this segment: find the first
                 // packet whose arrival overtakes the burst line.
                 let (mut lo, mut hi) = (k, end - 1);
                 while lo + 1 < hi {
                     let mid = lo + (hi - lo) / 2;
-                    let a_mid = seg.t + (mid - seg.k0) as f64 * m;
+                    let a_mid = seg.t + (mid - seg.k0) * m;
                     if a_mid > line(mid) {
                         hi = mid;
                     } else {
                         lo = mid;
                     }
                 }
-                push_seg(
-                    out,
-                    Seg {
-                        k0: k,
-                        t: q0,
-                        slope: s,
-                    },
-                );
                 prev = line(hi - 1);
                 k = hi;
             } else {
                 // Queued through the whole segment.
-                push_seg(
-                    out,
-                    Seg {
-                        k0: k,
-                        t: q0,
-                        slope: s,
-                    },
-                );
                 prev = line(end - 1);
                 k = end;
             }
@@ -606,18 +631,18 @@ fn slice_curve_into(curve: &[Seg], from: u64, pcount: u64, out: &mut Vec<Seg>) {
     }
 }
 
-/// Per-link occupancy bookkeeping for the train engine.
+/// Per-link occupancy bookkeeping for the train engine. Times are in ps.
 #[derive(Debug, Clone, Default)]
 struct LinkState {
     /// When the link can next begin serving a packet.
-    free: f64,
-    /// Latest committed packet-arrival time on this link.
-    last_event: f64,
+    free: u64,
+    /// Tie-order key `(time, rank, message)` of the latest committed packet
+    /// arrival: the last packet of the link's committed window.
+    last_at: u64,
+    last_rank: u64,
+    last_msg: u32,
     /// Whether any train has been committed to this link yet (this run).
     used: bool,
-    /// The committed window is a flat hop-0 injection whose injection order
-    /// is provable, so a bit-identical flat hop-0 arrival may append.
-    tie_head: bool,
     /// The committed window has already absorbed one split; a second
     /// interloper cannot be ordered.
     split: bool,
@@ -627,7 +652,7 @@ struct LinkState {
     /// The owner's hop index on this link.
     owner_hop: u16,
     /// The owner's arrival curve on this link (sloped windows only; cleared
-    /// for flat windows, which have no strict interior to split at).
+    /// for flat windows, which only ever take appends).
     owner_arr: Vec<Seg>,
     /// The owner's committed start curve on this link (sloped windows only).
     owner_starts: Vec<Seg>,
@@ -637,10 +662,11 @@ impl LinkState {
     /// Returns the link to its pristine state while keeping the curve
     /// buffers' capacity for the next run.
     fn reset(&mut self) {
-        self.free = 0.0;
-        self.last_event = 0.0;
+        self.free = 0;
+        self.last_at = 0;
+        self.last_rank = 0;
+        self.last_msg = 0;
         self.used = false;
-        self.tie_head = false;
         self.split = false;
         self.owner = 0;
         self.owner_hop = 0;
@@ -654,9 +680,12 @@ impl LinkState {
 /// per field.
 #[derive(Debug, Clone)]
 struct MsgState {
-    /// Injection-eligible time: `ready_at` folded with dependency
+    /// Injection-eligible time (ps): `ready_at` folded with dependency
     /// completions.
-    earliest: f64,
+    earliest: u64,
+    /// Rank in the run's injection order (0 until injected): the age in
+    /// the tie-order key of its deliveries and arrivals.
+    age: u32,
     bytes: u64,
     pcount: u64,
     /// Pending next-hop arrival curve ([`CurveRef::EMPTY`] while at hop 0 or
@@ -664,15 +693,12 @@ struct MsgState {
     curve: CurveRef,
     pending_deps: u32,
     /// Delivery generation: a final-hop train split supersedes the queued
-    /// Deliver by bumping this (stale events drop lazily).
-    gen: u32,
+    /// delivery by bumping this (stale events drop lazily).
+    gen: u16,
     /// Which hop the pending curve (and queue event) is for.
     pending_hop: u16,
     /// Route crosses a dead link; never injected.
     blocked: bool,
-    /// Injection-order provability: cleared once the injection instant came
-    /// from an ambiguous (EPS-close) group of deliveries.
-    tie_ok: bool,
     completed: bool,
 }
 
@@ -681,11 +707,8 @@ struct MsgState {
 /// capacity, so steady-state runs allocate nothing.
 #[derive(Debug, Default)]
 pub(crate) struct WorkScratch {
-    /// Reciprocal bandwidth per link id: serialization times multiply
-    /// instead of divide on the per-event path (tens of cycles saved per
-    /// event; any sub-EPS reordering this could cause declines through the
-    /// EPS checks, so equivalence is unaffected).
-    inv_bw: Vec<f64>,
+    /// Service times per link, looked up once per run.
+    timing: LinkTiming,
     msgs: Vec<MsgState>,
     /// Dependents in CSR layout (offsets + one flat slab of message ids).
     dep_off: Vec<u32>,
@@ -695,14 +718,14 @@ pub(crate) struct WorkScratch {
     /// Links committed to during the current run, reset lazily at the start
     /// of the next one (covers `Contended` aborts without a scan).
     touched: Vec<u32>,
+    /// Per-link busy time (ps), all-zero between runs: the links a run
+    /// touched are zeroed again when the next one begins.
+    busy: Vec<u64>,
     /// Horizon estimation accumulator; zeroed again before the loop starts
     /// (fold-and-zero) so the buffer is all-zero between runs.
-    busy_est: Vec<f64>,
+    busy_est: Vec<u64>,
     curves: CurveStore,
     queue: EventQueue,
-    /// EPS-close delivery group `(message id, completion)` scratch.
-    group: Vec<(u32, f64)>,
-    stash: Vec<Event>,
     starts: Vec<Seg>,
     split_arr: Vec<Seg>,
     split_starts: Vec<Seg>,
@@ -717,13 +740,17 @@ impl WorkScratch {
     fn begin_run(&mut self, link_space: usize) {
         for &li in &self.touched {
             self.links[li as usize].reset();
+            self.busy[li as usize] = 0;
         }
         self.touched.clear();
         if self.links.len() < link_space {
             self.links.resize_with(link_space, LinkState::default);
         }
+        if self.busy.len() < link_space {
+            self.busy.resize(link_space, 0);
+        }
         if self.busy_est.len() < link_space {
-            self.busy_est.resize(link_space, 0.0);
+            self.busy_est.resize(link_space, 0);
         }
         self.curves.clear();
     }
@@ -733,7 +760,7 @@ impl WorkScratch {
     pub(crate) fn retained_bytes(&self) -> usize {
         use std::mem::size_of;
         let seg = size_of::<Seg>();
-        self.inv_bw.capacity() * size_of::<f64>()
+        self.timing.retained_bytes()
             + self.msgs.capacity() * size_of::<MsgState>()
             + (self.dep_off.capacity() + self.dep_flat.capacity() + self.dep_cursor.capacity())
                 * size_of::<u32>()
@@ -744,19 +771,13 @@ impl WorkScratch {
                 .map(|l| (l.owner_arr.capacity() + l.owner_starts.capacity()) * seg)
                 .sum::<usize>()
             + self.touched.capacity() * size_of::<u32>()
-            + self.busy_est.capacity() * size_of::<f64>()
-            + self.curves.k0.capacity() * size_of::<u64>()
-            + (self.curves.t.capacity() + self.curves.slope.capacity()) * size_of::<f64>()
-            + self.queue.buckets.capacity() * size_of::<Vec<Event>>()
-            + self
-                .queue
-                .buckets
-                .iter()
-                .map(|b| b.capacity() * size_of::<Event>())
-                .sum::<usize>()
+            + (self.busy.capacity() + self.busy_est.capacity()) * size_of::<u64>()
+            + (self.curves.k0.capacity() + self.curves.t.capacity() + self.curves.slope.capacity())
+                * size_of::<u64>()
+            + self.queue.buckets.capacity() * size_of::<(u32, u32)>()
+            + self.queue.chunks.capacity() * size_of::<Chunk>()
+            + self.queue.free.capacity() * size_of::<u32>()
             + (self.queue.active.capacity() + self.queue.overflow.capacity()) * size_of::<Event>()
-            + self.group.capacity() * size_of::<(u32, f64)>()
-            + self.stash.capacity() * size_of::<Event>()
             + (self.starts.capacity()
                 + self.split_arr.capacity()
                 + self.split_starts.capacity()
@@ -767,36 +788,37 @@ impl WorkScratch {
     }
 }
 
-/// Emits the inject trace event and queues the hop-0 arrival. Every packet
-/// of the train is eligible at the injection instant, so the hop-0 arrival
-/// curve is the constant `at` — it stays implicit (the Arrive handler
-/// synthesizes it from the event time) to keep injection allocation-free.
+/// Emits the inject trace event and queues the hop-0 arrival, keyed by the
+/// age of the delivery that released it at `at` (`released_by`, 0 if
+/// none). Every packet of the train is eligible at the injection instant,
+/// so the hop-0 arrival curve is the constant `at` — it stays implicit (the
+/// arrival handler synthesizes it from the event time) to keep injection
+/// allocation-free.
 #[inline]
 fn inject_event<T: TraceSink>(
     queue: &mut EventQueue,
-    seq: &mut u32,
     sink: &mut T,
-    msg: &Message,
-    local: u32,
+    messages: &[Message],
+    local: usize,
     pcount: u64,
-    at: f64,
+    at: u64,
+    released_by: u32,
 ) {
     if T::ENABLED {
+        let msg = &messages[local];
         sink.record(TraceEvent::Inject {
             msg: msg.id,
             src: msg.src,
             dst: msg.dst,
             bytes: msg.bytes,
             packets: pcount,
-            at_ns: at,
+            at_ns: ps_to_ns(at),
         });
     }
-    *seq += 1;
     queue.push(Event {
-        key: tkey(at),
-        seq: *seq,
-        kind: Kind::Arrive,
-        msg: local,
+        at,
+        rank: rank(INJECT, released_by),
+        msg: local as u32,
         hop: 0,
         gen: 0,
     });
@@ -804,11 +826,11 @@ fn inject_event<T: TraceSink>(
 
 /// Runs the whole message DAG at train granularity, entirely out of `ws`.
 ///
-/// `completion` (one entry per message) and `busy` (one per link id) are
-/// the caller's output slices; busy time is *added*. The fault model must
-/// have no transient flaps (the caller checks). On an
-/// [`Attempt::Contended`] return both slices and `sink` hold a partial
-/// run, so callers wanting clean traces buffer into a temporary sink first.
+/// `completion` (one entry per message) and `busy` (one per link id,
+/// zeroed) are the caller's output slices. The fault model must have no
+/// transient flaps (the caller checks). On an [`Attempt::Contended`] return
+/// `completion` and `sink` hold a partial run, so callers wanting clean
+/// traces buffer into a temporary sink first.
 #[allow(clippy::too_many_arguments, clippy::too_many_lines)]
 pub(crate) fn run<T: TraceSink>(
     cfg: &NocConfig,
@@ -824,18 +846,17 @@ pub(crate) fn run<T: TraceSink>(
     let n = messages.len();
     ws.begin_run(mesh.link_id_space());
     let WorkScratch {
-        inv_bw,
+        timing,
         msgs,
         dep_off,
         dep_flat,
         dep_cursor,
         links,
         touched,
+        busy: busy_ps,
         busy_est,
         curves,
         queue,
-        group,
-        stash,
         starts,
         split_arr,
         split_starts,
@@ -843,6 +864,15 @@ pub(crate) fn run<T: TraceSink>(
         tail_starts,
         amended,
     } = ws;
+    timing.reset(cfg, mesh);
+    let hop_lat = timing.hop;
+    let ovh = timing.overhead;
+    if hop_lat == 0 {
+        // Without a header latency an injection could create a same-instant
+        // arrival that sorts before it, and the key comparisons below
+        // assume events pop in ascending key order.
+        return Ok(Attempt::Contended);
+    }
 
     // Pass A: per-message state, fused with the horizon estimate's per-link
     // service accumulation and the dependent-count pass — the congested
@@ -850,25 +880,22 @@ pub(crate) fn run<T: TraceSink>(
     // routes costs real milliseconds. The u16 route-length guard must
     // restore `busy_est` to all-zero before aborting (`begin_run` relies on
     // the invariant instead of re-zeroing the buffer each run).
-    inv_bw.clear();
-    inv_bw.extend((0..mesh.link_id_space()).map(|i| 1.0 / cfg.bandwidth_of(LinkId(i))));
     msgs.clear();
     msgs.reserve(n);
     dep_off.clear();
     dep_off.resize(n + 1, 0);
-    let mut max_ready: f64 = 0.0;
+    let mut max_ready = 0u64;
     let mut expected_events = n;
     let (mut memo_bytes, mut memo_pcount) = (0u64, 0u64);
     for (i, m) in messages.iter().enumerate() {
         let r = setup.route(i);
         if r.len() >= usize::from(u16::MAX) {
             // Event hop indices are u16; no physical mesh route gets close.
-            for b in busy_est.iter_mut() {
-                *b = 0.0;
-            }
+            busy_est.fill(0);
             return Ok(Attempt::Contended);
         }
-        max_ready = max_ready.max(m.ready_at_ns);
+        let ready = ns_to_ps(m.ready_at_ns);
+        max_ready = max_ready.max(ready);
         expected_events += r.len() + 1;
         // Wave-synchronous schedules repeat a handful of message sizes, so
         // one memoized division covers almost every packetization.
@@ -880,14 +907,16 @@ pub(crate) fn run<T: TraceSink>(
             memo_pcount
         };
         for &lk in r {
-            let s = cfg.packet_bytes as f64 * inv_bw[lk.index()] + cfg.per_packet_overhead_ns;
-            busy_est[lk.index()] += pcount as f64 * s;
+            let s = timing.full(lk.index()).saturating_add(ovh);
+            let b = &mut busy_est[lk.index()];
+            *b = b.saturating_add(pcount.saturating_mul(s));
         }
         for d in &m.deps {
             dep_off[d.index() + 1] += 1;
         }
         msgs.push(MsgState {
-            earliest: m.ready_at_ns,
+            earliest: ready,
+            age: 0,
             bytes: m.bytes,
             pcount,
             curve: CurveRef::EMPTY,
@@ -895,7 +924,6 @@ pub(crate) fn run<T: TraceSink>(
             gen: 0,
             pending_hop: 0,
             blocked: setup.blocked[i],
-            tie_ok: true,
             completed: false,
         });
     }
@@ -905,12 +933,12 @@ pub(crate) fn run<T: TraceSink>(
     // over the link space so `busy_est` returns to all-zero for the next
     // run. Underestimates only crowd the last bucket; order is unaffected
     // either way.
-    let mut max_busy = 0.0f64;
+    let mut max_busy = 0u64;
     for b in busy_est.iter_mut() {
         max_busy = max_busy.max(*b);
-        *b = 0.0;
+        *b = 0;
     }
-    let horizon = 2.0 * (max_ready + max_busy) + 1.0;
+    let horizon = max_ready.saturating_add(max_busy).saturating_mul(2);
     queue.reset(horizon, expected_events);
 
     // Dependents in CSR layout (offsets + one flat slab, counted during
@@ -924,11 +952,12 @@ pub(crate) fn run<T: TraceSink>(
     dep_cursor.clear();
     dep_cursor.extend_from_slice(&dep_off[..n]);
 
-    let mut seq: u32 = 0;
     let mut injected = 0usize;
     let mut stalled = 0usize;
     let mut delivered = 0usize;
-    let mut last_progress: f64 = 0.0;
+    let mut last_progress = 0u64;
+    // Injections popped so far: the last age handed out.
+    let mut injections = 0u32;
 
     for (l, st) in msgs.iter().enumerate() {
         for d in &messages[l].deps {
@@ -940,97 +969,62 @@ pub(crate) fn run<T: TraceSink>(
             if st.blocked {
                 stalled += 1;
             } else {
-                inject_event(
-                    queue,
-                    &mut seq,
-                    sink,
-                    &messages[l],
-                    l as u32,
-                    st.pcount,
-                    st.earliest,
-                );
+                inject_event(queue, sink, messages, l, st.pcount, st.earliest, 0);
             }
             injected += 1;
         }
     }
 
-    let hop_lat = cfg.per_flit_latency_ns;
-    let ovh = cfg.per_packet_overhead_ns;
     while let Some(ev) = queue.pop() {
         let mi = ev.msg as usize;
-        let ev_at = ev.at();
-        if ev.kind == Kind::Deliver {
+        let t = ev.at;
+        if ev.is_delivery() {
             if ev.gen != msgs[mi].gen {
                 continue; // superseded by a final-hop split
             }
-            // Deliveries within EPS of each other process as one group: the
-            // engines may disagree on their relative order, so dependents
-            // they release are tainted and may not claim exact-tie windows.
-            group.clear();
-            group.push((ev.msg, ev_at));
-            let mut window_end = ev_at + EPS;
-            while let Some(top) = queue.peek() {
-                if top.at() > window_end {
-                    break;
-                }
-                let e = queue.pop().expect("peeked");
-                match e.kind {
-                    Kind::Deliver if e.gen == msgs[e.msg as usize].gen => {
-                        let e_at = e.at();
-                        window_end = window_end.max(e_at + EPS);
-                        group.push((e.msg, e_at));
-                    }
-                    Kind::Deliver => {} // stale: drop
-                    Kind::Arrive => stash.push(e),
-                }
+            // The train's last packet is delivered: it completes and
+            // releases its dependents, whose injections sort after every
+            // delivery and arrival at this instant.
+            msgs[mi].completed = true;
+            let done_ns = ps_to_ns(t);
+            completion[mi] = done_ns;
+            delivered += 1;
+            last_progress = last_progress.max(t);
+            if T::ENABLED {
+                let m = &messages[mi];
+                sink.record(TraceEvent::Deliver {
+                    msg: m.id,
+                    bytes: m.bytes,
+                    at_ns: done_ns,
+                });
             }
-            for e in stash.drain(..) {
-                queue.push(e);
-            }
-            let taint = group.len() > 1;
-            for &(gl, done) in group.iter() {
-                let gl = gl as usize;
-                msgs[gl].completed = true;
-                completion[gl] = done;
-                delivered += 1;
-                last_progress = last_progress.max(done);
-                if T::ENABLED {
-                    let gm = &messages[gl];
-                    sink.record(TraceEvent::Deliver {
-                        msg: gm.id,
-                        bytes: gm.bytes,
-                        at_ns: done,
-                    });
-                }
-                for &dep in &dep_flat[dep_off[gl] as usize..dep_off[gl + 1] as usize] {
-                    let dl = dep as usize;
-                    msgs[dl].earliest = msgs[dl].earliest.max(done);
-                    msgs[dl].pending_deps -= 1;
-                    if msgs[dl].pending_deps == 0 {
-                        if taint {
-                            msgs[dl].tie_ok = false;
-                        }
-                        if msgs[dl].blocked {
-                            stalled += 1;
-                        } else {
-                            inject_event(
-                                queue,
-                                &mut seq,
-                                sink,
-                                &messages[dl],
-                                dl as u32,
-                                msgs[dl].pcount,
-                                msgs[dl].earliest,
-                            );
-                        }
-                        injected += 1;
+            let age = msgs[mi].age;
+            for &dep in &dep_flat[dep_off[mi] as usize..dep_off[mi + 1] as usize] {
+                let dl = dep as usize;
+                let d = &mut msgs[dl];
+                d.earliest = d.earliest.max(t);
+                d.pending_deps -= 1;
+                if d.pending_deps == 0 {
+                    if d.blocked {
+                        stalled += 1;
+                    } else {
+                        // Released at this very instant: the injection
+                        // inherits this delivery's age.
+                        let released_by = if d.earliest == t { age } else { 0 };
+                        inject_event(queue, sink, messages, dl, d.pcount, d.earliest, released_by);
                     }
+                    injected += 1;
                 }
             }
             continue;
         }
 
-        // Kind::Arrive: the train's head reaches hop `ev.hop`.
+        // An arrival: the train's head reaches hop `ev.hop`. Injections
+        // pop in key order; each takes the next age.
+        if ev.hop == 0 {
+            injections += 1;
+            msgs[mi].age = injections;
+        }
         let route = setup.route(mi);
         let j = ev.hop as usize;
         let link = route[j];
@@ -1038,236 +1032,197 @@ pub(crate) fn run<T: TraceSink>(
         let total = msgs[mi].bytes;
         let pcount = msgs[mi].pcount;
         // Hop-0 curves are implicitly the constant injection instant (never
-        // materialized); deeper hops read the stored curve. Bit-exact
-        // equality is deliberate: a tie is only provable when both engines
-        // compute the identical instant.
+        // materialized); deeper hops read the stored curve.
         let a_last = if ev.hop == 0 {
-            ev_at
+            t
         } else {
             curves.view(msgs[mi].curve).eval_at(pcount - 1)
         };
-        let flat_instant = a_last == ev_at;
+        let flat_instant = a_last == t;
 
-        let full_bytes = if pcount > 1 { cfg.packet_bytes } else { total };
         let last_bytes = last_packet_bytes(cfg, total, pcount);
-        let ser_full = full_bytes as f64 * inv_bw[li];
-        let ser_last = last_bytes as f64 * inv_bw[li];
-        let s = ser_full + ovh;
+        let ser_last = timing.ser(li, last_bytes);
+        let s = timing.full(li) + ovh;
 
-        let mut tie_append = false;
-        if links[li].used && ev_at <= links[li].last_event {
-            tie_append = ev_at == links[li].last_event
-                && ev.hop == 0
-                && flat_instant
-                && links[li].tie_head
-                && msgs[mi].tie_ok;
-            if !tie_append {
-                // --- FIFO train split: serve this flat train between two of
-                // the owner's packet arrivals, re-serving the owner's tail
-                // behind it. Every unprovable shape declines. ---
-                if links[li].split || !flat_instant || links[li].owner_arr.is_empty() {
-                    return Ok(Attempt::Contended);
-                }
-                let am = links[li].owner as usize;
-                let a_hop = links[li].owner_hop;
-                let a_final = (a_hop as usize) + 1 == setup.route(am).len();
-                // The owner's downstream bookkeeping must still be pending
-                // (its next-hop event or delivery not yet processed).
-                let amendable = if a_final {
-                    !msgs[am].completed
-                } else {
-                    !msgs[am].curve.is_empty() && msgs[am].pending_hop == a_hop + 1
-                };
-                if !amendable {
-                    return Ok(Attempt::Contended);
-                }
-                let t = ev_at;
-                let a0 = eval(&links[li].owner_arr, 0);
-                if t <= a0 + EPS || t >= links[li].last_event - EPS {
-                    return Ok(Attempt::Contended);
-                }
-                let a_total = msgs[am].bytes;
-                let a_pcount = msgs[am].pcount;
-                // Smallest owner packet index arriving strictly after `t`.
-                let (mut lo, mut hi) = (0u64, a_pcount - 1);
-                while lo + 1 < hi {
-                    let mid = lo + (hi - lo) / 2;
-                    if eval(&links[li].owner_arr, mid) > t {
-                        hi = mid;
-                    } else {
-                        lo = mid;
-                    }
-                }
-                let k_a = hi;
-                // The head must land cleanly between two arrivals, else the
-                // per-packet FIFO order at the boundary is ambiguous.
-                if eval(&links[li].owner_arr, k_a) <= t + EPS
-                    || eval(&links[li].owner_arr, k_a - 1) >= t - EPS
-                {
-                    return Ok(Attempt::Contended);
-                }
-
-                // Copy the owner's window into scratch (instead of moving
-                // the LinkState out) so the link's curve buffers keep their
-                // capacity for later runs.
-                split_arr.clear();
-                split_arr.extend_from_slice(&links[li].owner_arr);
-                split_starts.clear();
-                split_starts.extend_from_slice(&links[li].owner_starts);
-                let owner_last_event = links[li].last_event;
-                let a_last_bytes = last_packet_bytes(cfg, a_total, a_pcount);
-                let a_ser_full = cfg.packet_bytes as f64 * inv_bw[li];
-                let a_ser_last = a_last_bytes as f64 * inv_bw[li];
-                let a_s = a_ser_full + ovh;
-
-                // The interloper's head queues behind owner packet k_a - 1
-                // (always a full packet, since k_a < a_pcount).
-                let free_head = eval(split_starts, k_a - 1) + a_s;
-                let st0_b = t.max(free_head);
-                let b_slope = if pcount > 1 { s } else { 0.0 };
-                let b_last_start = st0_b + (pcount - 1) as f64 * b_slope;
-                let free_after_b = b_last_start + ser_last + ovh;
-
-                // Re-serve the owner's tail behind the interloper.
-                let tail_len = a_pcount - k_a;
-                slice_curve_into(split_arr, k_a, a_pcount, tail_arr);
-                let st0_tail = eval(tail_arr, 0).max(free_after_b);
-                tail_starts.clear();
-                if tail_len == 1 {
-                    tail_starts.push(Seg {
-                        k0: 0,
-                        t: st0_tail,
-                        slope: 0.0,
-                    });
-                } else {
-                    serve_curve_into(st0_tail, a_s, tail_arr.as_slice(), tail_len, tail_starts);
-                }
-                let a_new_last = eval(tail_starts, tail_len - 1);
-                let free_final = a_new_last + a_ser_last + ovh;
-
-                if a_final {
-                    // Supersede the owner's queued delivery.
-                    msgs[am].gen += 1;
-                    seq += 1;
-                    queue.push(Event {
-                        key: tkey(a_new_last + a_ser_last + hop_lat),
-                        seq,
-                        kind: Kind::Deliver,
-                        msg: am as u32,
-                        hop: a_hop,
-                        gen: msgs[am].gen,
-                    });
-                } else {
-                    // Amend the owner's pending next-hop arrival curve. Its
-                    // head start is unchanged (k_a ≥ 1), so the queued heap
-                    // event's time stays valid.
-                    amended.clear();
-                    for sg in split_starts.iter().filter(|sg| sg.k0 < k_a) {
-                        push_seg(
-                            amended,
-                            Seg {
-                                t: sg.t + hop_lat,
-                                ..*sg
-                            },
-                        );
-                    }
-                    for sg in tail_starts.iter() {
-                        push_seg(
-                            amended,
-                            Seg {
-                                k0: sg.k0 + k_a,
-                                t: sg.t + hop_lat,
-                                slope: sg.slope,
-                            },
-                        );
-                    }
-                    msgs[am].curve = curves.commit(amended);
-                }
-
-                // The owner's per-link busy time is order-independent and
-                // was accounted at its commit; only the interloper adds.
-                busy[li] += (pcount - 1) as f64 * s + ser_last + ovh;
-                if T::ENABLED {
-                    sink.record(TraceEvent::TrainSplit {
-                        msg: messages[am].id,
-                        hop: u32::from(a_hop),
-                        link,
-                        split_index: k_a,
-                        first_start_ns: eval(split_starts, 0),
-                        last_start_ns: a_new_last,
-                    });
-                    sink.record(TraceEvent::TrainHop {
-                        msg: messages[mi].id,
-                        hop: u32::from(ev.hop),
-                        link,
-                        packets: pcount,
-                        arrive_ns: t,
-                        first_start_ns: st0_b,
-                        last_start_ns: b_last_start,
-                    });
-                }
-                {
-                    let stl = &mut links[li];
-                    stl.free = free_final;
-                    stl.last_event = owner_last_event;
-                    stl.used = true;
-                    stl.tie_head = false;
-                    stl.split = true;
-                    stl.owner = 0;
-                    stl.owner_hop = 0;
-                    stl.owner_arr.clear();
-                    stl.owner_starts.clear();
-                }
-
-                // Advance the interloper.
-                if j + 1 < route.len() {
-                    starts.clear();
-                    starts.push(Seg {
-                        k0: 0,
-                        t: st0_b,
-                        slope: b_slope,
-                    });
-                    msgs[mi].curve = curves.commit_shifted(starts, hop_lat);
-                    msgs[mi].pending_hop = ev.hop + 1;
-                    seq += 1;
-                    queue.push(Event {
-                        key: tkey(st0_b + hop_lat),
-                        seq,
-                        kind: Kind::Arrive,
-                        msg: ev.msg,
-                        hop: ev.hop + 1,
-                        gen: 0,
-                    });
-                } else {
-                    msgs[mi].curve = CurveRef::EMPTY;
-                    seq += 1;
-                    queue.push(Event {
-                        key: tkey(b_last_start + ser_last + hop_lat),
-                        seq,
-                        kind: Kind::Deliver,
-                        msg: ev.msg,
-                        hop: ev.hop,
-                        gen: msgs[mi].gen,
-                    });
-                }
-                continue;
+        let head = (t, ev.rank, ev.msg);
+        let link_last = (links[li].last_at, links[li].last_rank, links[li].last_msg);
+        if links[li].used && head < link_last {
+            // --- FIFO train split: the head sorts inside the owner's
+            // sloped window. Serve this flat train between two of the
+            // owner's packets, re-serving the owner's tail behind it.
+            // Every unprovable shape declines. ---
+            if links[li].split || !flat_instant || links[li].owner_arr.is_empty() {
+                return Ok(Attempt::Contended);
             }
-        } else if links[li].used && ev_at - links[li].last_event <= EPS {
-            // Near-tie just past the window: the engines may disagree on
-            // which head goes first.
-            return Ok(Attempt::Contended);
+            let am = links[li].owner as usize;
+            let a_hop = links[li].owner_hop;
+            let a_final = (a_hop as usize) + 1 == setup.route(am).len();
+            // The owner's downstream bookkeeping must still be pending
+            // (its next-hop event or delivery not yet processed).
+            let amendable = if a_final {
+                !msgs[am].completed
+            } else {
+                !msgs[am].curve.is_empty() && msgs[am].pending_hop == a_hop + 1
+            };
+            if !amendable {
+                return Ok(Attempt::Contended);
+            }
+            let a_total = msgs[am].bytes;
+            let a_pcount = msgs[am].pcount;
+            // The split index: how many owner packets sort before the
+            // head. Packet 0 does (its head popped first) and the last
+            // does not (the head sorts inside the window).
+            let before = |k: u64| (eval(&links[li].owner_arr, k), link_last.1, link_last.2) < head;
+            debug_assert!(before(0) && !before(a_pcount - 1));
+            let (mut lo, mut hi) = (0u64, a_pcount - 1);
+            while lo + 1 < hi {
+                let mid = lo + (hi - lo) / 2;
+                if before(mid) {
+                    lo = mid;
+                } else {
+                    hi = mid;
+                }
+            }
+            let k_a = hi;
+
+            // Copy the owner's window into scratch (instead of moving
+            // the LinkState out) so the link's curve buffers keep their
+            // capacity for later runs.
+            split_arr.clear();
+            split_arr.extend_from_slice(&links[li].owner_arr);
+            split_starts.clear();
+            split_starts.extend_from_slice(&links[li].owner_starts);
+            let a_last_bytes = last_packet_bytes(cfg, a_total, a_pcount);
+            let a_ser_last = timing.ser(li, a_last_bytes);
+
+            // The interloper's head queues behind owner packet k_a - 1
+            // (always a full packet, since k_a < a_pcount).
+            let free_head = eval(split_starts, k_a - 1) + s;
+            let st0_b = t.max(free_head);
+            let b_slope = if pcount > 1 { s } else { 0 };
+            let b_last_start = st0_b + (pcount - 1) * b_slope;
+            let free_after_b = b_last_start + ser_last + ovh;
+
+            // Re-serve the owner's tail behind the interloper.
+            let tail_len = a_pcount - k_a;
+            slice_curve_into(split_arr, k_a, a_pcount, tail_arr);
+            let st0_tail = eval(tail_arr, 0).max(free_after_b);
+            tail_starts.clear();
+            if tail_len == 1 {
+                tail_starts.push(Seg {
+                    k0: 0,
+                    t: st0_tail,
+                    slope: 0,
+                });
+            } else {
+                serve_curve_into(st0_tail, s, tail_arr.as_slice(), tail_len, tail_starts);
+            }
+            let a_new_last = eval(tail_starts, tail_len - 1);
+            let free_final = a_new_last + a_ser_last + ovh;
+
+            if a_final {
+                // Supersede the owner's queued delivery.
+                msgs[am].gen += 1;
+                queue.push(Event {
+                    at: a_new_last + a_ser_last + hop_lat,
+                    rank: rank(DELIVER, msgs[am].age),
+                    msg: am as u32,
+                    hop: a_hop,
+                    gen: msgs[am].gen,
+                });
+            } else {
+                // Amend the owner's pending next-hop arrival curve. Its
+                // head start is unchanged (k_a ≥ 1), so the queued event's
+                // time and key stay valid.
+                amended.clear();
+                for sg in split_starts.iter().filter(|sg| sg.k0 < k_a) {
+                    push_seg(amended, *sg);
+                }
+                for sg in tail_starts.iter() {
+                    push_seg(
+                        amended,
+                        Seg {
+                            k0: sg.k0 + k_a,
+                            ..*sg
+                        },
+                    );
+                }
+                msgs[am].curve = curves.commit_shifted(amended, hop_lat);
+            }
+
+            // The owner's per-link busy time is order-independent and
+            // was accounted at its commit; only the interloper adds.
+            busy_ps[li] += (pcount - 1) * s + ser_last + ovh;
+            if T::ENABLED {
+                sink.record(TraceEvent::TrainSplit {
+                    msg: messages[am].id,
+                    hop: u32::from(a_hop),
+                    link,
+                    split_index: k_a,
+                    first_start_ns: ps_to_ns(eval(split_starts, 0)),
+                    last_start_ns: ps_to_ns(a_new_last),
+                });
+                sink.record(TraceEvent::TrainHop {
+                    msg: messages[mi].id,
+                    hop: u32::from(ev.hop),
+                    link,
+                    packets: pcount,
+                    arrive_ns: ps_to_ns(t),
+                    first_start_ns: ps_to_ns(st0_b),
+                    last_start_ns: ps_to_ns(b_last_start),
+                });
+            }
+            {
+                // The window keeps the owner's last key.
+                let stl = &mut links[li];
+                stl.free = free_final;
+                stl.split = true;
+                stl.owner = 0;
+                stl.owner_hop = 0;
+                stl.owner_arr.clear();
+                stl.owner_starts.clear();
+            }
+
+            // Advance the interloper.
+            if j + 1 < route.len() {
+                starts.clear();
+                starts.push(Seg {
+                    k0: 0,
+                    t: st0_b,
+                    slope: b_slope,
+                });
+                msgs[mi].curve = curves.commit_shifted(starts, hop_lat);
+                msgs[mi].pending_hop = ev.hop + 1;
+                queue.push(Event {
+                    at: st0_b + hop_lat,
+                    rank: rank(HOP, msgs[mi].age),
+                    msg: ev.msg,
+                    hop: ev.hop + 1,
+                    gen: 0,
+                });
+            } else {
+                msgs[mi].curve = CurveRef::EMPTY;
+                queue.push(Event {
+                    at: b_last_start + ser_last + hop_lat,
+                    rank: rank(DELIVER, msgs[mi].age),
+                    msg: ev.msg,
+                    hop: ev.hop,
+                    gen: msgs[mi].gen,
+                });
+            }
+            continue;
         }
 
-        // Serial commit: the train owns the link after everything already
-        // committed (tie appends land here too — `free` points behind the
-        // tying window, which is exactly the per-packet FIFO order).
-        let st0 = ev_at.max(links[li].free);
+        // Append: the head sorts after every packet committed to the link,
+        // so the train owns it after them — exactly the per-packet FIFO
+        // order, same-instant ties included.
+        let st0 = t.max(links[li].free);
         starts.clear();
         if pcount == 1 {
             starts.push(Seg {
                 k0: 0,
                 t: st0,
-                slope: 0.0,
+                slope: 0,
             });
         } else if ev.hop == 0 {
             // Flat arrivals: the train queues behind `st0` at service
@@ -1289,7 +1244,7 @@ pub(crate) fn run<T: TraceSink>(
                 starts.push(Seg {
                     k0: 0,
                     t: st0,
-                    slope: if m > s { m } else { s },
+                    slope: m.max(s),
                 });
             } else {
                 serve_curve_into(st0, s, arr, pcount, starts);
@@ -1297,16 +1252,16 @@ pub(crate) fn run<T: TraceSink>(
         }
         let start_last = eval(starts, pcount - 1);
 
-        busy[li] += (pcount - 1) as f64 * s + ser_last + ovh;
+        busy_ps[li] += (pcount - 1) * s + ser_last + ovh;
         if T::ENABLED {
             sink.record(TraceEvent::TrainHop {
                 msg: messages[mi].id,
                 hop: u32::from(ev.hop),
                 link,
                 packets: pcount,
-                arrive_ns: ev_at,
-                first_start_ns: st0,
-                last_start_ns: start_last,
+                arrive_ns: ps_to_ns(t),
+                first_start_ns: ps_to_ns(st0),
+                last_start_ns: ps_to_ns(start_last),
             });
         }
 
@@ -1317,41 +1272,31 @@ pub(crate) fn run<T: TraceSink>(
             }
             stl.free = start_last + ser_last + ovh;
             stl.used = true;
-            if !tie_append {
-                stl.last_event = a_last;
-                stl.tie_head = ev.hop == 0 && flat_instant && msgs[mi].tie_ok;
-                stl.split = false;
-                if flat_instant {
-                    // Flat windows have no strict interior to split at.
-                    stl.owner_arr.clear();
-                    stl.owner_starts.clear();
-                } else {
-                    stl.owner = ev.msg;
-                    stl.owner_hop = ev.hop;
-                    stl.owner_arr.clear();
-                    let v = curves.view(msgs[mi].curve);
-                    for i in 0..v.nsegs() {
-                        stl.owner_arr.push(v.seg_at(i));
-                    }
-                    stl.owner_starts.clear();
-                    stl.owner_starts.extend_from_slice(starts);
+            stl.last_at = a_last;
+            stl.last_rank = ev.rank;
+            stl.last_msg = ev.msg;
+            stl.split = false;
+            stl.owner_arr.clear();
+            stl.owner_starts.clear();
+            if !flat_instant {
+                stl.owner = ev.msg;
+                stl.owner_hop = ev.hop;
+                let v = curves.view(msgs[mi].curve);
+                for i in 0..v.nsegs() {
+                    stl.owner_arr.push(v.seg_at(i));
                 }
+                stl.owner_starts.extend_from_slice(starts);
             }
-            // On a tie append the window instant, tie_head, and cleared
-            // owner fields all carry over unchanged.
         }
 
         if j + 1 < route.len() {
             // Cut-through: each packet's header reaches the next router one
             // per-flit latency after it wins this link.
-            let next_at = st0 + hop_lat;
             msgs[mi].curve = curves.commit_shifted(starts, hop_lat);
             msgs[mi].pending_hop = ev.hop + 1;
-            seq += 1;
             queue.push(Event {
-                key: tkey(next_at),
-                seq,
-                kind: Kind::Arrive,
+                at: st0 + hop_lat,
+                rank: rank(HOP, msgs[mi].age),
                 msg: ev.msg,
                 hop: ev.hop + 1,
                 gen: 0,
@@ -1359,17 +1304,14 @@ pub(crate) fn run<T: TraceSink>(
         } else {
             // Final hop: the train's last packet is delivered after its full
             // serialization plus the hop latency. Delivery (and dependent
-            // release) goes through the heap so it happens in global time
-            // order — matching the per-packet engine's injection order.
-            // Release the curve so the split amendability probe can't
-            // mistake the stale state for a pending next-hop curve.
+            // release) goes through the queue so it happens in key order —
+            // matching the per-packet engine's injection order. Release the
+            // curve so the split amendability probe can't mistake the stale
+            // state for a pending next-hop curve.
             msgs[mi].curve = CurveRef::EMPTY;
-            let done = start_last + ser_last + hop_lat;
-            seq += 1;
             queue.push(Event {
-                key: tkey(done),
-                seq,
-                kind: Kind::Deliver,
+                at: start_last + ser_last + hop_lat,
+                rank: rank(DELIVER, msgs[mi].age),
                 msg: ev.msg,
                 hop: ev.hop,
                 gen: msgs[mi].gen,
@@ -1384,14 +1326,14 @@ pub(crate) fn run<T: TraceSink>(
                 .route(l)
                 .iter()
                 .copied()
-                .find(|&lk| !cfg.faults.link_usable(mesh, lk))
+                .find(|&lk| !link_carries(cfg, mesh, lk))
         });
         return Err(NocError::Stalled {
             pending_msgs: n - delivered,
-            last_progress_ns: last_progress as u64,
+            last_progress_ns: last_progress / 1000,
             first_blocked_msg: culprit.map(crate::MsgId),
             first_blocked_link: culprit_link,
-            stalled_at_ns: last_progress as u64,
+            stalled_at_ns: last_progress / 1000,
         });
     }
     if injected < n {
@@ -1399,7 +1341,13 @@ pub(crate) fn run<T: TraceSink>(
             stuck: n - injected,
         });
     }
-    Ok(Attempt::Done)
+    for &li in touched.iter() {
+        let li = li as usize;
+        busy[li] = ps_to_ns(busy_ps[li]);
+    }
+    Ok(Attempt::Done {
+        makespan_ps: last_progress,
+    })
 }
 
 #[cfg(test)]
@@ -1407,11 +1355,11 @@ mod tests {
     use super::*;
     use meshcoll_util::Rng;
 
-    fn seg(k0: u64, t: f64, slope: f64) -> Seg {
+    fn seg(k0: u64, t: u64, slope: u64) -> Seg {
         Seg { k0, t, slope }
     }
 
-    fn serve_curve(st0: f64, s: f64, arr: &[Seg], pcount: u64) -> Vec<Seg> {
+    fn serve_curve(st0: u64, s: u64, arr: &[Seg], pcount: u64) -> Vec<Seg> {
         let mut out = Vec::new();
         serve_curve_into(st0, s, arr, pcount, &mut out);
         out
@@ -1424,7 +1372,7 @@ mod tests {
     }
 
     /// The recurrence, computed packet by packet.
-    fn brute_serve(st0: f64, s: f64, arr: &[Seg], pcount: u64) -> Vec<f64> {
+    fn brute_serve(st0: u64, s: u64, arr: &[Seg], pcount: u64) -> Vec<u64> {
         let mut out = Vec::with_capacity(pcount as usize);
         out.push(st0);
         for k in 1..pcount {
@@ -1436,23 +1384,23 @@ mod tests {
 
     #[test]
     fn eval_walks_segments() {
-        let c = vec![seg(0, 10.0, 2.0), seg(4, 18.0, 5.0)];
-        assert_eq!(eval(&c, 0), 10.0);
-        assert_eq!(eval(&c, 3), 16.0);
-        assert_eq!(eval(&c, 4), 18.0);
-        assert_eq!(eval(&c, 6), 28.0);
+        let c = vec![seg(0, 10, 2), seg(4, 18, 5)];
+        assert_eq!(eval(&c, 0), 10);
+        assert_eq!(eval(&c, 3), 16);
+        assert_eq!(eval(&c, 4), 18);
+        assert_eq!(eval(&c, 6), 28);
     }
 
     #[test]
     fn curve_store_views_match_slices() {
         let mut store = CurveStore::default();
-        let segs = vec![seg(0, 10.0, 2.0), seg(4, 18.0, 5.0)];
-        let r = store.commit(&segs);
-        let shifted = store.commit_shifted(&segs, 1.5);
+        let segs = vec![seg(0, 10, 2), seg(4, 18, 5)];
+        let r = store.commit_shifted(&segs, 0);
+        let shifted = store.commit_shifted(&segs, 15);
         let v = store.view(r);
         for k in [0, 3, 4, 6] {
             assert_eq!(v.eval_at(k), eval(&segs, k));
-            assert_eq!(store.view(shifted).eval_at(k) - eval(&segs, k), 1.5);
+            assert_eq!(store.view(shifted).eval_at(k) - eval(&segs, k), 15);
         }
         assert!(CurveRef::EMPTY.is_empty());
         store.clear();
@@ -1461,39 +1409,34 @@ mod tests {
 
     #[test]
     fn burst_line_dominates_slow_arrivals() {
-        // Arrivals spaced 1 ns, service 5 ns: the queue line wins everywhere.
-        let arr = vec![seg(0, 0.0, 1.0)];
-        let out = serve_curve(0.0, 5.0, &arr, 100);
-        assert_eq!(out.len(), 1);
-        assert_eq!(eval(&out, 99), 495.0);
+        // Arrivals spaced 1 ps, service 5 ps: the queue line wins everywhere.
+        let arr = vec![seg(0, 0, 1)];
+        let out = serve_curve(0, 5, &arr, 100);
+        assert_eq!(out, [seg(0, 0, 5)]);
+        assert_eq!(eval(&out, 99), 495);
     }
 
     #[test]
     fn fast_arrivals_overtake_burst_line() {
-        // Head waited (st0 = 100) but arrivals stream at 10 ns spacing with
-        // only 2 ns service: packets 0..=45 drain the backlog, then starts
+        // Head waited (st0 = 100) but arrivals stream at 10 ps spacing with
+        // only 2 ps service: packets 0..=12 drain the backlog, then starts
         // track arrivals.
-        let arr = vec![seg(0, 0.0, 10.0)];
-        let out = serve_curve(100.0, 2.0, &arr, 1000);
-        assert_eq!(out.len(), 2);
-        let cross = out[1].k0;
-        // Before the crossing the queue line rules, after it the arrivals.
-        assert!(eval(&arr, cross) > 100.0 + cross as f64 * 2.0);
-        assert!(eval(&arr, cross - 1) <= 100.0 + (cross - 1) as f64 * 2.0);
+        let arr = vec![seg(0, 0, 10)];
+        let out = serve_curve(100, 2, &arr, 1000);
+        assert_eq!(out, [seg(0, 100, 2), seg(13, 130, 10)]);
         assert_eq!(eval(&out, 999), eval(&arr, 999));
     }
 
     #[test]
     fn crossing_respects_later_segments() {
         // Arrival curve flat then steep; crossing falls in the steep tail.
-        let arr = vec![seg(0, 0.0, 0.0), seg(10, 0.0, 20.0)];
-        let out = serve_curve(5.0, 3.0, &arr, 40);
-        let cross = out[1].k0;
-        assert!(cross > 10, "cross={cross}");
-        for k in [cross - 1, cross, cross + 1, 39] {
-            let expect = (5.0 + k as f64 * 3.0).max(eval(&arr, k));
-            assert!((eval(&out, k) - expect).abs() < 1e-9, "k={k}");
+        let arr = vec![seg(0, 0, 0), seg(10, 0, 20)];
+        let out = serve_curve(5, 3, &arr, 40);
+        let brute = brute_serve(5, 3, &arr, 40);
+        for (k, want) in brute.iter().enumerate() {
+            assert_eq!(eval(&out, k as u64), *want, "k={k}");
         }
+        assert!(out[1].k0 > 10, "cross={}", out[1].k0);
     }
 
     #[test]
@@ -1501,100 +1444,131 @@ mod tests {
         // A post-split shape: arrivals ramp, jump upward (the interloper's
         // service gap), then ramp again — non-convex, with the queue
         // emptying and refilling across the step.
-        let arr = vec![seg(0, 0.0, 4.0), seg(5, 100.0, 4.0), seg(9, 130.0, 1.0)];
-        let st0 = 10.0;
-        let s = 3.0;
-        let out = serve_curve(st0, s, &arr, 14);
-        let brute = brute_serve(st0, s, &arr, 14);
+        let arr = vec![seg(0, 0, 4), seg(5, 100, 4), seg(9, 130, 1)];
+        let out = serve_curve(10, 3, &arr, 14);
+        let brute = brute_serve(10, 3, &arr, 14);
         for (k, want) in brute.iter().enumerate() {
-            let got = eval(&out, k as u64);
-            assert!((got - want).abs() < 1e-9, "k={k}: got {got}, want {want}");
+            assert_eq!(eval(&out, k as u64), *want, "k={k}");
         }
     }
 
     #[test]
     fn serve_curve_matches_bruteforce_on_random_monotone_curves() {
         let mut rng = Rng::new(0x5eed);
-        for case in 0..200 {
+        for case in 0..400 {
             // Random monotone non-decreasing arrival curve with upward
             // jumps at segment boundaries.
             let nsegs = rng.range_usize(1, 5);
             let pcount = rng.range_u64(1, 60);
             let mut arr = Vec::new();
             let mut k0 = 0u64;
-            let mut t = rng.range_f64(0.0, 50.0);
+            let mut t = rng.range_u64(0, 50_000);
             for i in 0..nsegs {
-                let slope = rng.range_f64(0.0, 8.0);
+                let slope = rng.range_u64(0, 8_000);
                 arr.push(seg(k0, t, slope));
                 let span = rng.range_u64(1, 20);
-                t = eval(&arr, k0 + span - 1) + rng.range_f64(0.0, 30.0);
+                t = eval(&arr, k0 + span - 1) + rng.range_u64(0, 30_000);
                 k0 += span;
                 if i + 1 < nsegs && k0 >= pcount {
                     break;
                 }
             }
-            let s = rng.range_f64(0.1, 6.0);
-            let st0 = eval(&arr, 0) + rng.range_f64(0.0, 40.0);
+            let s = rng.range_u64(100, 6_000);
+            let st0 = eval(&arr, 0) + rng.range_u64(0, 40_000);
             let out = serve_curve(st0, s, &arr, pcount);
             let brute = brute_serve(st0, s, &arr, pcount);
             for (k, want) in brute.iter().enumerate() {
-                let got = eval(&out, k as u64);
-                assert!(
-                    (got - want).abs() < 1e-9,
-                    "case {case}, k={k}: got {got}, want {want} (arr={arr:?}, s={s}, st0={st0})"
+                assert_eq!(
+                    eval(&out, k as u64),
+                    *want,
+                    "case {case}, k={k} (arr={arr:?}, s={s}, st0={st0})"
                 );
-            }
-            // Starts must be monotone with at least service spacing.
-            for k in 1..pcount {
-                assert!(eval(&out, k) >= eval(&out, k - 1) + s - 1e-9);
             }
         }
     }
 
     #[test]
     fn slice_curve_reindexes_the_tail() {
-        let arr = vec![seg(0, 0.0, 2.0), seg(6, 20.0, 5.0), seg(10, 50.0, 1.0)];
+        let arr = vec![seg(0, 0, 2), seg(6, 20, 5), seg(10, 50, 1)];
         let tail = slice_curve(&arr, 8, 14);
         assert_eq!(tail[0].k0, 0);
         for k in 8..14u64 {
-            assert!((eval(&tail, k - 8) - eval(&arr, k)).abs() < 1e-12, "k={k}");
+            assert_eq!(eval(&tail, k - 8), eval(&arr, k), "k={k}");
         }
         // Slicing exactly at a segment boundary keeps it minimal.
         let at_boundary = slice_curve(&arr, 6, 14);
         assert_eq!(at_boundary.len(), 2);
-        assert_eq!(at_boundary[0].t, 20.0);
+        assert_eq!(at_boundary[0].t, 20);
+    }
+
+    #[test]
+    fn events_pop_in_tie_order() {
+        // At one instant: deliveries, then later-hop arrivals, then
+        // injections, each by message id.
+        let mut q = EventQueue::default();
+        q.reset(1000, 40);
+        let mk = |at: u64, class: u64, msg: u32| Event {
+            at,
+            rank: rank(class, 0),
+            msg,
+            hop: 0,
+            gen: 0,
+        };
+        for ev in [
+            mk(500, INJECT, 1),
+            mk(500, HOP, 7),
+            mk(500, INJECT, 0),
+            mk(499, INJECT, 9),
+            mk(500, DELIVER, 3),
+            mk(500, HOP, 2),
+        ] {
+            q.push(ev);
+        }
+        let order: Vec<(u64, u32)> = std::iter::from_fn(|| q.pop())
+            .map(|e| (rank_class(e.rank), e.msg))
+            .collect();
+        assert_eq!(
+            order,
+            [
+                (INJECT, 9),
+                (DELIVER, 3),
+                (HOP, 2),
+                (HOP, 7),
+                (INJECT, 0),
+                (INJECT, 1)
+            ]
+        );
     }
 
     #[test]
     fn event_queue_reset_reuses_buckets_and_sweeps_leftovers() {
         let mut q = EventQueue::default();
-        q.reset(1000.0, 400);
-        let mk = |at: f64, seq: u32| Event {
-            key: tkey(at),
-            seq,
-            kind: Kind::Arrive,
-            msg: 0,
+        q.reset(1000, 400);
+        let mk = |at: u64, msg: u32| Event {
+            at,
+            rank: rank(HOP, msg),
+            msg,
             hop: 0,
             gen: 0,
         };
         for i in 0..50u32 {
-            q.push(mk(f64::from(i) * 17.0, i));
+            q.push(mk(u64::from(i) * 17, i));
         }
         // Drain half, then abandon (a Contended abort mid-run).
         for _ in 0..25 {
             q.pop().unwrap();
         }
         let cap_before = q.buckets.len();
-        q.reset(100.0, 40);
+        q.reset(100, 40);
         assert_eq!(q.buckets.len(), cap_before, "buckets must never shrink");
         assert!(q.pop().is_none(), "stale events must be swept");
         // And the queue still orders correctly after reuse.
-        q.push(mk(30.0, 2));
-        q.push(mk(10.0, 1));
-        q.push(mk(95.0, 3));
-        assert_eq!(q.pop().unwrap().at(), 10.0);
-        assert_eq!(q.pop().unwrap().at(), 30.0);
-        assert_eq!(q.pop().unwrap().at(), 95.0);
+        q.push(mk(30, 2));
+        q.push(mk(10, 1));
+        q.push(mk(95, 3));
+        assert_eq!(q.pop().unwrap().at, 10);
+        assert_eq!(q.pop().unwrap().at, 30);
+        assert_eq!(q.pop().unwrap().at, 95);
         assert!(q.pop().is_none());
     }
 }

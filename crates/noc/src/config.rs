@@ -4,7 +4,9 @@ use meshcoll_topo::{FaultModel, FaultTimeline, LinkId};
 /// Network configuration (paper Table II).
 ///
 /// All times are in nanoseconds; bandwidth is in bytes per nanosecond
-/// (1 B/ns == 1 GB/s).
+/// (1 B/ns == 1 GB/s). The packet engines convert latencies and per-link
+/// packet serialization times to integer picoseconds once per run,
+/// rounding up; every Table II quantity is an exact picosecond count.
 ///
 /// # Example
 ///

@@ -17,7 +17,9 @@
 //!   of busy time per packet plus a per-hop header latency. This is the
 //!   primary engine: fast enough for GB-scale AllReduce sweeps while
 //!   capturing bandwidth, hop latency, and link contention — the three
-//!   effects the paper's results hinge on.
+//!   effects the paper's results hinge on. It keeps exact integer
+//!   picoseconds internally ([`ns_to_ps`], [`ps_to_ns`]), so its
+//!   packet-train fast path and its per-packet reference agree bit for bit.
 //! * [`FlitSim`] — a cycle-driven flit-level router model with per-VC input
 //!   buffers, credit-based flow control, and virtual cut-through switching.
 //!   It is slower and exists to validate the packet engine (tests assert the
@@ -59,6 +61,7 @@ mod message;
 pub mod online;
 mod packet_sim;
 mod stats;
+mod time;
 pub mod trace;
 
 pub use audit::{InvariantAuditor, TraceAudit, Violation};
@@ -69,6 +72,7 @@ pub use message::{Message, MsgId, MAX_MESSAGES};
 pub use online::{splice_outcomes, DrainSnapshot, OnlineReport};
 pub use packet_sim::{PacketSim, SimMode};
 pub use stats::{LatencySummary, LinkStats, SimOutcome};
+pub use time::{ns_to_ps, ps_to_ns};
 pub use trace::{JsonlSink, MemorySink, NullSink, RingSink, TraceEvent, TraceSink};
 
 use meshcoll_topo::Mesh;

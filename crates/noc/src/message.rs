@@ -52,7 +52,9 @@ pub struct Message {
     pub deps: Vec<MsgId>,
     /// Earliest injection time in ns, independent of dependencies
     /// (used to model compute availability, e.g. layer-wise gradient
-    /// readiness in the overlap experiments).
+    /// readiness in the overlap experiments). The packet engines inject at
+    /// the first picosecond at or past it ([`ns_to_ps`](crate::ns_to_ps));
+    /// a negative time injects at 0.
     pub ready_at_ns: f64,
 }
 

@@ -34,6 +34,7 @@
 
 use meshcoll_topo::{FaultEvent, FaultModel, FaultTimeline, LinkId, Mesh};
 
+use crate::time::{ns_to_ps, ps_to_ns};
 use crate::trace::{TraceEvent, TraceSink};
 use crate::{LinkStats, Message, MsgId, NocError, PacketSim, SimOutcome};
 
@@ -104,18 +105,19 @@ pub struct OnlineReport {
 
 /// Drain bookkeeping of one per-packet run under a timeline: bytes each
 /// message delivered, what was lost, and the drain clock. Stays empty — and
-/// allocation-free — for static runs and kept fast-path runs.
+/// allocation-free — for static runs and kept fast-path runs. Times are in
+/// ps.
 #[derive(Debug, Default)]
 pub(crate) struct DrainTally {
     /// Per message: payload bytes that reached the destination.
     pub(crate) delivered_bytes: Vec<u64>,
     pub(crate) lost_bytes: u64,
     /// Max over completions, drop times, withhold decisions, and link
-    /// busy-interval ends: the run's `drain_ns`.
-    pub(crate) end_ns: f64,
+    /// busy-interval ends: the run's drain clock.
+    pub(crate) end_ps: u64,
     pub(crate) interrupted: bool,
     /// Earliest in-flight drop: (time, message, dead link).
-    pub(crate) first_drop: Option<(f64, MsgId, LinkId)>,
+    pub(crate) first_drop: Option<(u64, MsgId, LinkId)>,
 }
 
 impl DrainTally {
@@ -123,27 +125,29 @@ impl DrainTally {
     /// The withhold decision is activity at `at`, so the drain clock must
     /// cover it (it is what guarantees `apply_through(drain_ns)` folds the
     /// killing event).
-    pub(crate) fn withhold(&mut self, at: f64) {
+    pub(crate) fn withhold(&mut self, at: u64) {
         self.interrupted = true;
-        self.end_ns = self.end_ns.max(at);
+        self.end_ps = self.end_ps.max(at);
     }
 
     /// A packet of `msg` dropped at `at` on the dead `link`.
-    pub(crate) fn drop_packet(&mut self, at: f64, msg: MsgId, link: LinkId, bytes: u64) {
+    pub(crate) fn drop_packet(&mut self, at: u64, msg: MsgId, link: LinkId, bytes: u64) {
         self.interrupted = true;
         self.lost_bytes += bytes;
-        self.end_ns = self.end_ns.max(at);
+        self.end_ps = self.end_ps.max(at);
         if self.first_drop.is_none_or(|(t, _, _)| at < t) {
             self.first_drop = Some((at, msg, link));
         }
     }
 }
 
-/// Per-link death times implied by a timeline: the minimum over the link's
-/// own `LinkDiesAt` events and the `ChipletDiesAt` of either endpoint
-/// (a dead chiplet takes all its links down). `INFINITY` for links the
-/// timeline never touches.
-fn link_death_times(mesh: &Mesh, timeline: &FaultTimeline) -> Vec<f64> {
+/// Per-link death times implied by a timeline, in ps: the minimum over the
+/// link's own `LinkDiesAt` events and the `ChipletDiesAt` of either
+/// endpoint (a dead chiplet takes all its links down), as the first
+/// picosecond at or past it. `u64::MAX` for links the timeline never
+/// touches. A packet whose start `p` has `p >= death` is exactly one whose
+/// start in ns is at or past the death in ns (see [`ns_to_ps`]).
+fn link_death_times(mesh: &Mesh, timeline: &FaultTimeline) -> Vec<u64> {
     let mut death = vec![f64::INFINITY; mesh.link_id_space()];
     for e in timeline.events() {
         match *e {
@@ -161,7 +165,7 @@ fn link_death_times(mesh: &Mesh, timeline: &FaultTimeline) -> Vec<f64> {
             }
         }
     }
-    death
+    death.into_iter().map(ns_to_ps).collect()
 }
 
 /// Splices the per-segment outcomes of a resumed online run (the
@@ -215,7 +219,7 @@ impl PacketSim {
             });
         }
 
-        let drain_ns = tally.end_ns;
+        let drain_ns = ps_to_ns(tally.end_ps);
         if T::ENABLED {
             for e in self.cfg.timeline.events() {
                 if e.at_ns() <= drain_ns {
@@ -447,7 +451,7 @@ mod tests {
             auto.outcome.completion_ns(MsgId(1)).unwrap(),
             per.outcome.completion_ns(MsgId(1)).unwrap(),
         );
-        assert!((a - p).abs() < 1e-6, "auto {a} vs per-packet {p}");
+        assert_eq!(a.to_bits(), p.to_bits(), "auto {a} vs per-packet {p}");
     }
 
     #[test]

@@ -15,18 +15,24 @@
 //! Dependencies are honored at message granularity: a message is injected
 //! when all messages it depends on have delivered their last packet.
 //!
-//! Two engines implement these semantics. The exact per-packet engine
-//! orders its events by `(time, sequence number)` in one binary heap. It
-//! queues one event per injected message (a burst that serves every
-//! packet's first link in packet order), one per later packet-hop, and one
-//! per message for its last packet's delivery; earlier packets are
-//! delivered as they win their final link. Same-instant events pop in
-//! creation order, so ties break exactly as in a queue that held every
-//! packet-hop and delivery as its own event. The
-//! packet-train coalescing fast path (see [`crate::coalesce`]) advances
-//! whole trains in O(messages × hops) and is used by default whenever no
-//! two trains interleave on a link. The [`SimMode`] policy selects between
-//! them.
+//! Two engines implement these semantics, both on the integer picosecond
+//! clock of [`crate::time`], converting to `f64` ns only at the API
+//! boundary. The exact per-packet engine orders its events in one binary
+//! heap by the model's tie-order key `(time, class, age, message id,
+//! packet)`: deliveries before later-hop arrivals before injections, and
+//! oldest-injected first within a class; no event is ever ordered by when
+//! it was created. It queues one event per
+//! injected message (a burst that serves every packet's first link in
+//! packet order), one per later packet-hop, and one per message for its
+//! last packet's delivery; earlier packets are delivered as they win their
+//! final link. A burst's packets would carry consecutive keys as separate
+//! events, so nothing could sort between them. The packet-train coalescing
+//! fast path (see [`crate::coalesce`]) advances whole trains in
+//! O(messages × hops), decides every same-instant contention with the same
+//! key, and is used by default whenever no two trains interleave on a link
+//! beyond what its split tier can order. Where it runs, its completions and
+//! per-link busy time are bit-identical to the per-packet engine's. The
+//! [`SimMode`] policy selects between them.
 //!
 //! # One rule per run
 //!
@@ -60,6 +66,7 @@ use meshcoll_topo::{LinkId, Mesh, RouteCache};
 use crate::coalesce::{self, Attempt, WorkScratch};
 use crate::message::validate_one;
 use crate::online::DrainTally;
+use crate::time::{link_carries, ns_to_ps, ps_to_ns, rank, LinkTiming, DELIVER, HOP, INJECT};
 use crate::trace::{MemorySink, NullSink, TraceEvent, TraceSink};
 use crate::{LinkStats, Message, MsgId, NetworkSim, NocConfig, NocError, SimOutcome};
 
@@ -68,8 +75,8 @@ use crate::{LinkStats, Message, MsgId, NetworkSim, NocConfig, NocError, SimOutco
 pub enum SimMode {
     /// Try the packet-train coalescing fast path and fall back to the exact
     /// per-packet engine when trains interleave on a link (or when transient
-    /// link flaps are configured). This is the default; its results match
-    /// the per-packet engine to within floating-point reassociation.
+    /// link flaps are configured). This is the default; its completions and
+    /// per-link busy time are bit-identical to the per-packet engine's.
     #[default]
     Auto,
     /// Always run the exact per-packet reference engine.
@@ -182,19 +189,15 @@ impl ScratchPools {
     }
 }
 
-/// Latest delivery: the run's makespan.
-fn span(completion: &[f64]) -> f64 {
-    completion.iter().copied().fold(0.0, f64::max)
-}
-
-/// Earliest death among the links the DAG's routes traverse.
-fn earliest_death(setup: &RunSetup, death: &[f64]) -> f64 {
+/// Earliest death (ps) among the links the DAG's routes traverse.
+fn earliest_death(setup: &RunSetup, death: &[u64]) -> u64 {
     setup
         .unique
         .iter()
         .flat_map(|route| route.iter())
         .map(|l| death[l.index()])
-        .fold(f64::INFINITY, f64::min)
+        .min()
+        .unwrap_or(u64::MAX)
 }
 
 impl PacketSim {
@@ -341,13 +344,14 @@ impl PacketSim {
     /// its result or typed error unchanged. A fast-path error (a static dead
     /// route, a dependency cycle) also falls through, so typed errors are
     /// always the reference engine's. A kept fast-path run is never
-    /// interrupted, so it carries an empty drain tally.
+    /// interrupted, so it carries an empty drain tally. `death` holds each
+    /// link's death time in ps (`u64::MAX` for links that never die).
     pub(crate) fn run_prepared<T: TraceSink>(
         &self,
         mesh: &Mesh,
         messages: &[Message],
         setup: &RunSetup,
-        death: Option<&[f64]>,
+        death: Option<&[u64]>,
         sink: &mut T,
     ) -> Result<(SimOutcome, DrainTally), NocError> {
         let (mut completion, mut stats) = self.outcome_buffers(mesh, messages.len());
@@ -386,7 +390,7 @@ impl PacketSim {
 
     /// One coalescer pass over the whole DAG on pooled scratch, into the
     /// caller's buffers (`busy` zeroed). Returns whether the result is
-    /// kept: the pass completed, with its makespan at or before `bound`
+    /// kept: the pass completed, with its makespan at or before `bound` (ps)
     /// when one is given. A traced pass is buffered, so `sink` receives its
     /// events only when it is kept; a declined pass leaves partial results
     /// in the buffers.
@@ -396,7 +400,7 @@ impl PacketSim {
         mesh: &Mesh,
         messages: &[Message],
         setup: &RunSetup,
-        bound: Option<f64>,
+        bound: Option<u64>,
         completion: &mut [f64],
         busy: &mut [f64],
         sink: &mut T,
@@ -413,7 +417,10 @@ impl PacketSim {
             )
         };
         self.pools.put_work(ws);
-        let kept = attempt? == Attempt::Done && bound.is_none_or(|b| span(completion) <= b);
+        let kept = match attempt? {
+            Attempt::Done { makespan_ps } => bound.is_none_or(|b| makespan_ps <= b),
+            Attempt::Contended => false,
+        };
         if kept {
             for ev in buf.events() {
                 sink.record(*ev);
@@ -524,8 +531,9 @@ impl PacketSim {
 
     /// Validates the DAG, resolves routes through the shared cache, and
     /// flags messages that can never deliver because their route crosses a
-    /// permanently dead link (or dead chiplet) — rather than waiting forever
-    /// the engines report those as stalled. Allocating variant for the
+    /// permanently dead link (or dead chiplet, or a link too slow to carry a
+    /// packet) — rather than waiting forever the engines report those as
+    /// stalled. Allocating variant for the
     /// online engine and one-shot probes; the steady-state path uses
     /// `prepare_into` with pooled scratch.
     pub(crate) fn prepare(&self, mesh: &Mesh, messages: &[Message]) -> Result<RunSetup, NocError> {
@@ -559,7 +567,6 @@ impl PacketSim {
         setup.blocked.reserve(messages.len());
         unique_blocked.clear();
         let nn = mesh.rows() * mesh.cols();
-        let faults = &self.cfg.faults;
         if nn <= 256 {
             memo.clear();
             memo.resize(nn * nn, u32::MAX);
@@ -572,7 +579,7 @@ impl PacketSim {
                 if u == u32::MAX {
                     let r = self.routes.route(mesh, m.src, m.dst, self.cfg.routing)?;
                     u = setup.unique.len() as u32;
-                    unique_blocked.push(r.iter().any(|&l| !faults.link_usable(mesh, l)));
+                    unique_blocked.push(r.iter().any(|&l| !link_carries(&self.cfg, mesh, l)));
                     setup.unique.push(r);
                     memo[slot] = u;
                 }
@@ -595,7 +602,7 @@ impl PacketSim {
                     std::collections::hash_map::Entry::Vacant(e) => {
                         let r = self.routes.route(mesh, m.src, m.dst, self.cfg.routing)?;
                         let u = setup.unique.len() as u32;
-                        unique_blocked.push(r.iter().any(|&l| !faults.link_usable(mesh, l)));
+                        unique_blocked.push(r.iter().any(|&l| !link_carries(&self.cfg, mesh, l)));
                         setup.unique.push(r);
                         *e.insert(u)
                     }
@@ -612,25 +619,24 @@ impl PacketSim {
     /// (one entry per message) and `busy` (one per link id).
     ///
     /// With `death` = `None` it simulates the static fault model. Under a
-    /// timeline's per-link death times it additionally drops a packet whose
-    /// link-win time falls at or past its link's death, withholds a message
-    /// that becomes ready after a route link has died (never injecting it),
-    /// and tallies delivered/lost bytes and the drain clock. Static-fault
-    /// stalls and watchdog trips stay typed errors either way.
+    /// timeline's per-link death times (ps) it additionally drops a packet
+    /// whose link-win time falls at or past its link's death, withholds a
+    /// message that becomes ready after a route link has died (never
+    /// injecting it), and tallies delivered/lost bytes and the drain clock.
+    /// Static-fault stalls and watchdog trips stay typed errors either way.
     ///
     /// The loop queues one event per injected message (a burst that serves
     /// every packet's first link in packet order), one per later packet-hop,
     /// and one for each message's last delivery; see [`Event`] and
-    /// [`PacketLoop::serve`]. Same-instant events pop in creation order,
-    /// exactly as they would if every packet-hop and delivery were its own
-    /// event.
+    /// [`PacketLoop::serve`]. Events pop in tie-order key order, exactly as
+    /// they would if every packet-hop and delivery were its own event.
     #[allow(clippy::too_many_arguments)]
     fn run_per_packet_into<T: TraceSink>(
         &self,
         mesh: &Mesh,
         messages: &[Message],
         setup: &RunSetup,
-        death: Option<&[f64]>,
+        death: Option<&[u64]>,
         completion: &mut [f64],
         busy: &mut [f64],
         sink: &mut T,
@@ -645,7 +651,6 @@ impl PacketSim {
         let blocked = &setup.blocked;
         let faults = &self.cfg.faults;
         completion.fill(f64::NAN);
-        busy.fill(0.0);
 
         // Per-message state, plus each message's dependents in one CSR slab
         // (each list in message order).
@@ -657,7 +662,8 @@ impl PacketSim {
                     count,
                     last_bytes: last_packet_bytes(&self.cfg, m.bytes, count),
                     left: count,
-                    earliest: m.ready_at_ns,
+                    earliest: ns_to_ps(m.ready_at_ns),
+                    age: 0,
                     pending: m.deps.len() as u32,
                     dep_start: 0,
                     dep_end: 0,
@@ -696,20 +702,20 @@ impl PacketSim {
             .map(|(i, r)| r.count * (setup.route(i).len() as u64 + 1))
             .sum::<u64>()
             .saturating_add(STALL_BUDGET_SLACK);
+        let mut timing = LinkTiming::default();
+        timing.reset(&self.cfg, mesh);
         let mut st = PacketLoop {
             cfg: &self.cfg,
             messages,
             setup,
             death,
             flaps: !faults.flaps().is_empty(),
-            bw: (0..mesh.link_id_space())
-                .map(|i| self.cfg.bandwidth_of(LinkId(i)))
-                .collect(),
+            timing,
             msgs,
-            link_free: vec![0.0; mesh.link_id_space()],
-            busy,
+            link_free: vec![0; mesh.link_id_space()],
+            busy: vec![0; mesh.link_id_space()],
             queue: BinaryHeap::new(),
-            seq: 0,
+            injections: 0,
             served: 0,
             tally: DrainTally::default(),
         };
@@ -720,23 +726,24 @@ impl PacketSim {
         let mut injected = 0usize;
         let mut stalled = 0usize;
         let mut delivered = 0usize;
-        let mut last_progress: f64 = 0.0;
+        let mut last_progress: u64 = 0;
         // A message becoming ready at `at` after a route link has already
         // died belongs to the un-executed suffix: it is withheld rather
         // than injected to die downstream.
-        let dies = |i: usize, at: f64| {
+        let dies = |i: usize, at: u64| {
             death.is_some_and(|d| setup.route(i).iter().any(|&l| d[l.index()] <= at))
         };
 
         for (i, m) in messages.iter().enumerate() {
             if m.deps.is_empty() {
                 injected += 1;
+                let at = st.msgs[i].earliest;
                 if blocked[i] {
                     stalled += 1;
-                } else if dies(i, m.ready_at_ns) {
-                    st.tally.withhold(m.ready_at_ns);
+                } else if dies(i, at) {
+                    st.tally.withhold(at);
                 } else {
-                    st.inject(sink, i, m.ready_at_ns);
+                    st.inject(sink, i, at, 0);
                 }
             }
         }
@@ -746,14 +753,17 @@ impl PacketSim {
                 // Watchdog trip: no single culprit message/link to name.
                 return Err(NocError::Stalled {
                     pending_msgs: n - delivered,
-                    last_progress_ns: last_progress as u64,
+                    last_progress_ns: last_progress / 1000,
                     first_blocked_msg: None,
                     first_blocked_link: None,
-                    stalled_at_ns: ev.at as u64,
+                    stalled_at_ns: ev.at / 1000,
                 });
             }
             let mi = ev.msg as usize;
             if ev.hop == 0 {
+                // Injections pop in key order; each takes the next age.
+                st.injections += 1;
+                st.msgs[mi].age = st.injections;
                 st.serve(sink, mi, 0..st.msgs[mi].count, 0, ev.at);
                 continue;
             }
@@ -767,24 +777,28 @@ impl PacketSim {
             st.msgs[mi].left -= 1;
             if death.is_some() {
                 st.tally.delivered_bytes[mi] += st.msgs[mi].last_bytes;
-                st.tally.end_ns = st.tally.end_ns.max(ev.at);
+                st.tally.end_ps = st.tally.end_ps.max(ev.at);
             }
             if st.msgs[mi].left > 0 {
                 // An earlier packet was dropped: the message never completes.
                 continue;
             }
-            completion[mi] = ev.at;
+            let done_ns = ps_to_ns(ev.at);
+            completion[mi] = done_ns;
             delivered += 1;
             last_progress = last_progress.max(ev.at);
             if T::ENABLED {
                 sink.record(TraceEvent::Deliver {
                     msg: messages[mi].id,
                     bytes: messages[mi].bytes,
-                    at_ns: ev.at,
+                    at_ns: done_ns,
                 });
             }
             let MsgRun {
-                dep_start, dep_end, ..
+                dep_start,
+                dep_end,
+                age,
+                ..
             } = st.msgs[mi];
             for &d in &dependents[dep_start as usize..dep_end as usize] {
                 let di = d as usize;
@@ -799,10 +813,16 @@ impl PacketSim {
                     } else if dies(di, at) {
                         st.tally.withhold(at);
                     } else {
-                        st.inject(sink, di, at);
+                        // Released at this very instant: the injection
+                        // inherits this delivery's age.
+                        let released_by = if at == ev.at { age } else { 0 };
+                        st.inject(sink, di, at, released_by);
                     }
                 }
             }
+        }
+        for (b, &ps) in busy.iter_mut().zip(&st.busy) {
+            *b = ps_to_ns(ps);
         }
         let tally = st.tally;
 
@@ -819,14 +839,14 @@ impl PacketSim {
                     .route(i)
                     .iter()
                     .copied()
-                    .find(|&l| !faults.link_usable(mesh, l))
+                    .find(|&l| !link_carries(&self.cfg, mesh, l))
             });
             return Err(NocError::Stalled {
                 pending_msgs: n - delivered,
-                last_progress_ns: last_progress as u64,
+                last_progress_ns: last_progress / 1000,
                 first_blocked_msg: culprit.map(MsgId),
                 first_blocked_link: culprit_link,
-                stalled_at_ns: last_progress as u64,
+                stalled_at_ns: last_progress / 1000,
             });
         }
         if !tally.interrupted && injected < n {
@@ -838,39 +858,28 @@ impl PacketSim {
     }
 }
 
-/// One queued event of the per-packet loop, ordered by `(at, seq)`; `seq`
-/// is unique per event, so that order is total. `hop` tells the three
-/// kinds apart:
+/// One queued event of the per-packet loop, ordered by the tie-order key
+/// of [`crate::time`]: `(at, rank, msg, packet)`, where `rank` packs the
+/// class (delivery, later hop, injection) above the age. `hop` tells the
+/// three kinds apart:
 ///
 /// * `0` — a burst: every packet of `msg` contends for its first link at
 ///   `at`, in packet order (`packet` is unused);
 /// * below the route length — packet `packet` contends for route link
 ///   `hop`;
 /// * the route length — `msg`'s last packet is delivered.
-#[derive(Debug, Clone, Copy)]
+///
+/// A packet's arrivals at successive hops are strictly later in time, so
+/// no two events share `(at, rank, msg, packet)` and the heap's order is
+/// total.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 struct Event {
-    at: f64,
-    seq: u64,
+    /// Time in ps.
+    at: u64,
+    rank: u64,
     msg: u32,
     packet: u32,
     hop: u32,
-}
-
-impl PartialEq for Event {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other).is_eq()
-    }
-}
-impl Eq for Event {}
-impl PartialOrd for Event {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Event {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.at.total_cmp(&other.at).then(self.seq.cmp(&other.seq))
-    }
 }
 
 /// One message's state in a per-packet run.
@@ -881,8 +890,12 @@ struct MsgRun {
     last_bytes: u64,
     /// Packets not yet delivered.
     left: u64,
-    /// Earliest injection: the ready time, then each dependency's delivery.
-    earliest: f64,
+    /// Earliest injection (ps): the ready time, then each dependency's
+    /// delivery.
+    earliest: u64,
+    /// Rank in the run's injection order (0 until injected): the age in
+    /// the tie-order key of its deliveries and packet arrivals.
+    age: u32,
     /// Dependencies not yet delivered.
     pending: u32,
     /// The message's dependents are `dependents[dep_start..dep_end]`.
@@ -891,47 +904,36 @@ struct MsgRun {
 }
 
 /// The state of one per-packet run that injecting and serving packets
-/// share (see [`PacketSim::run_per_packet_into`]).
+/// share (see [`PacketSim::run_per_packet_into`]). Every time is in ps.
 struct PacketLoop<'a> {
     cfg: &'a NocConfig,
     messages: &'a [Message],
     setup: &'a RunSetup,
-    death: Option<&'a [f64]>,
+    death: Option<&'a [u64]>,
     /// Whether any transient flap is configured (else `available_at` is the
     /// identity and is skipped).
     flaps: bool,
-    /// Bandwidth per link id, looked up once per run.
-    bw: Vec<f64>,
+    /// Service times per link, looked up once per run.
+    timing: LinkTiming,
     msgs: Vec<MsgRun>,
-    link_free: Vec<f64>,
-    busy: &'a mut [f64],
+    link_free: Vec<u64>,
+    busy: Vec<u64>,
     queue: BinaryHeap<Reverse<Event>>,
-    /// Events created so far: the tie-break among same-instant events.
-    seq: u64,
+    /// Injections popped so far: the last age handed out.
+    injections: u32,
     /// Watchdog count: packet-hops served plus packets delivered.
     served: u64,
     tally: DrainTally,
 }
 
 impl PacketLoop<'_> {
-    fn push(&mut self, at: f64, mi: usize, packet: u64, hop: u32) {
-        self.seq += 1;
-        self.queue.push(Reverse(Event {
-            at,
-            seq: self.seq,
-            msg: mi as u32,
-            packet: packet as u32,
-            hop,
-        }));
-    }
-
-    /// Injects message `mi` at `at` as one burst event. As separate hop-0
-    /// events its packets would have taken consecutive sequence numbers,
-    /// so nothing else could sort between them: they would pop back to
-    /// back, exactly as the burst serves them. Only the order of sequence
-    /// numbers matters, so the burst's one number stands for them all.
-    fn inject<T: TraceSink>(&mut self, sink: &mut T, mi: usize, at: f64) {
-        let count = self.msgs[mi].count;
+    /// Injects message `mi` at `at` as one burst event, keyed by the age of
+    /// the delivery that released it at `at` (`released_by`, 0 if none). As
+    /// separate hop-0 events its packets would carry consecutive keys (same
+    /// time, class, age and message, packets in order), so nothing else
+    /// could sort between them: they would pop back to back, exactly as the
+    /// burst serves them.
+    fn inject<T: TraceSink>(&mut self, sink: &mut T, mi: usize, at: u64, released_by: u32) {
         if T::ENABLED {
             let m = &self.messages[mi];
             sink.record(TraceEvent::Inject {
@@ -939,11 +941,30 @@ impl PacketLoop<'_> {
                 src: m.src,
                 dst: m.dst,
                 bytes: m.bytes,
-                packets: count,
-                at_ns: at,
+                packets: self.msgs[mi].count,
+                at_ns: ps_to_ns(at),
             });
         }
-        self.push(at, mi, 0, 0);
+        self.queue.push(Reverse(Event {
+            at,
+            rank: rank(INJECT, released_by),
+            msg: mi as u32,
+            packet: 0,
+            hop: 0,
+        }));
+    }
+
+    /// The first instant at or after `ready` at which `link` is up.
+    fn available(&self, link: LinkId, ready: u64) -> u64 {
+        let mut at = ready;
+        loop {
+            let ns = ps_to_ns(at);
+            let up = self.cfg.faults.available_at(link, ns);
+            if up <= ns {
+                return at;
+            }
+            at = ns_to_ps(up);
+        }
     }
 
     /// Packets `packets` of message `mi` arrive at route link `hop` at `at`
@@ -952,28 +973,29 @@ impl PacketLoop<'_> {
     /// the link's next up window. A packet that wins its final link and is
     /// not the message's last is delivered on the spot: its delivery only
     /// counts down the message's undelivered packets and folds
-    /// order-independent sums and
-    /// maxima into the tally, and it always lands before the last packet's,
-    /// which stays a queue event.
+    /// order-independent sums and maxima into the tally, and it always
+    /// lands before the last packet's, which stays a queue event.
     fn serve<T: TraceSink>(
         &mut self,
         sink: &mut T,
         mi: usize,
         packets: Range<u64>,
         hop: u32,
-        at: f64,
+        at: u64,
     ) {
         let route = self.setup.route(mi);
         let link = route[hop as usize];
         let li = link.index();
         let final_hop = hop as usize + 1 == route.len();
         let MsgRun {
-            count, last_bytes, ..
+            count,
+            last_bytes,
+            age,
+            ..
         } = self.msgs[mi];
-        let bw = self.bw[li];
         let death = self.death.map(|d| d[li]);
-        let overhead = self.cfg.per_packet_overhead_ns;
-        let hop_lat = self.cfg.per_flit_latency_ns;
+        let overhead = self.timing.overhead;
+        let hop_lat = self.timing.hop;
         // No other event touches this link while these packets are served,
         // so its state stays local until they are done.
         let mut free = self.link_free[li];
@@ -981,14 +1003,14 @@ impl PacketLoop<'_> {
         let mut folded = 0;
         for packet in packets {
             self.served += 1;
-            let bytes = if packet + 1 < count {
-                self.cfg.packet_bytes
+            let (bytes, ser) = if packet + 1 < count {
+                (self.cfg.packet_bytes, self.timing.full(li))
             } else {
-                last_bytes
+                (last_bytes, self.timing.ser(li, last_bytes))
             };
             let ready = at.max(free);
             let start = if self.flaps {
-                self.cfg.faults.available_at(link, ready)
+                self.available(link, ready)
             } else {
                 ready
             };
@@ -1005,7 +1027,7 @@ impl PacketLoop<'_> {
                         hop,
                         link,
                         bytes,
-                        at_ns: at,
+                        at_ns: ps_to_ns(at),
                     });
                 }
                 continue;
@@ -1013,11 +1035,10 @@ impl PacketLoop<'_> {
             // The link is held for the payload serialization plus the
             // per-packet router pipeline overhead before the next packet
             // can follow.
-            let ser = bytes as f64 / bw;
             free = start + ser + overhead;
             busy += ser + overhead;
             if self.death.is_some() {
-                self.tally.end_ns = self.tally.end_ns.max(free);
+                self.tally.end_ps = self.tally.end_ps.max(free);
             }
             if T::ENABLED {
                 sink.record(TraceEvent::PacketHop {
@@ -1026,15 +1047,21 @@ impl PacketLoop<'_> {
                     hop,
                     link,
                     bytes,
-                    arrive_ns: at,
-                    start_ns: start,
-                    busy_until_ns: free,
+                    arrive_ns: ps_to_ns(at),
+                    start_ns: ps_to_ns(start),
+                    busy_until_ns: ps_to_ns(free),
                 });
             }
             if !final_hop {
                 // Cut-through: the header reaches the next router after
                 // one per-flit latency; occupancies overlap.
-                self.push(start + hop_lat, mi, packet, hop + 1);
+                self.queue.push(Reverse(Event {
+                    at: start + hop_lat,
+                    rank: rank(HOP, age),
+                    msg: mi as u32,
+                    packet: packet as u32,
+                    hop: hop + 1,
+                }));
                 continue;
             }
             // Final hop: the tail is delivered after full serialization
@@ -1044,10 +1071,16 @@ impl PacketLoop<'_> {
                 folded += 1;
                 if self.death.is_some() {
                     self.tally.delivered_bytes[mi] += bytes;
-                    self.tally.end_ns = self.tally.end_ns.max(done);
+                    self.tally.end_ps = self.tally.end_ps.max(done);
                 }
             } else {
-                self.push(done, mi, packet, hop + 1);
+                self.queue.push(Reverse(Event {
+                    at: done,
+                    rank: rank(DELIVER, age),
+                    msg: mi as u32,
+                    packet: packet as u32,
+                    hop: hop + 1,
+                }));
             }
         }
         self.link_free[li] = free;
@@ -1280,6 +1313,43 @@ mod tests {
     }
 
     #[test]
+    fn zero_bandwidth_link_stalls_like_a_dead_one() {
+        // A 0 GB/s override, and a degradation to almost nothing, would need
+        // more picoseconds than the clock holds: both engines report the
+        // message over it as blocked instead of wrapping its times.
+        let mesh = Mesh::new(1, 3).unwrap();
+        let slow = mesh.link_between(NodeId(0), NodeId(1)).unwrap();
+        let msgs = vec![
+            Message::new(MsgId(0), NodeId(0), NodeId(2), 8192 * 2),
+            Message::new(MsgId(1), NodeId(1), NodeId(2), 8192),
+        ];
+        let mut zero = cfg();
+        zero.link_overrides.push((slow, 0.0));
+        let mut faded = cfg();
+        faded.faults.degrade_link(slow, 0.0);
+        for c in [zero, faded] {
+            for mode in [SimMode::Auto, SimMode::PerPacket] {
+                let err = PacketSim::new(c.clone())
+                    .with_mode(mode)
+                    .simulate(&mesh, &msgs)
+                    .unwrap_err();
+                assert!(
+                    matches!(
+                        err,
+                        NocError::Stalled {
+                            pending_msgs: 1,
+                            first_blocked_msg: Some(MsgId(0)),
+                            first_blocked_link: Some(l),
+                            ..
+                        } if l == slow
+                    ),
+                    "{mode:?}: {err}"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn stall_counts_transitive_dependents_as_pending() {
         let mesh = Mesh::new(1, 3).unwrap();
         let mut c = cfg();
@@ -1358,21 +1428,29 @@ mod tests {
         let sim = PacketSim::new(cfg());
         let fast = sim.run_coalesced(&mesh, &msgs).unwrap().expect("fast path");
         let exact = sim.run_reference(&mesh, &msgs).unwrap();
-        for id in 0..3 {
-            let (a, b) = (
-                fast.completion_ns(MsgId(id)).unwrap(),
-                exact.completion_ns(MsgId(id)).unwrap(),
-            );
-            assert!((a - b).abs() < 1e-6, "msg {id}: fast {a} vs exact {b}");
-        }
+        assert_bits_eq(&mesh, &fast, &exact);
+    }
+
+    /// Completions and per-link busy time agree bit for bit.
+    fn assert_bits_eq(mesh: &Mesh, a: &SimOutcome, b: &SimOutcome) {
+        let bits = |o: &SimOutcome| -> Vec<u64> {
+            let busy = mesh.links().map(|(_, _, l)| o.link_stats().busy_ns(l));
+            o.completions()
+                .iter()
+                .copied()
+                .chain(busy)
+                .map(f64::to_bits)
+                .collect()
+        };
+        assert_eq!(bits(a), bits(b));
     }
 
     #[test]
     fn fast_path_arbitrates_exact_injection_ties() {
-        // Several sources inject onto shared links at the bit-identical
-        // instant. Both engines then serve the trains back-to-back in
-        // injection order, so the fast path accepts the tie and must match
-        // the per-packet reference within the equivalence tolerance.
+        // Several sources inject onto shared links at the same instant.
+        // Both engines serve the trains back-to-back in message-id order,
+        // so the fast path accepts the tie and matches the per-packet
+        // reference bit for bit.
         let mesh = Mesh::new(1, 4).unwrap();
         let msgs: Vec<Message> = (0..6)
             .map(|i| Message::new(MsgId(i), NodeId(i % 3), NodeId(3), 8192 * 3))
@@ -1380,30 +1458,27 @@ mod tests {
         let sim = PacketSim::new(cfg());
         let fast = sim.run_coalesced(&mesh, &msgs).unwrap().expect("fast path");
         let exact = sim.run_reference(&mesh, &msgs).unwrap();
-        for id in 0..6 {
-            let (a, b) = (
-                fast.completion_ns(MsgId(id)).unwrap(),
-                exact.completion_ns(MsgId(id)).unwrap(),
-            );
-            assert!((a - b).abs() < 1e-6, "msg {id}: fast {a} vs exact {b}");
-        }
+        assert_bits_eq(&mesh, &fast, &exact);
     }
 
     #[test]
-    fn fast_path_declines_near_tie_contention() {
-        // Heads separated by less than the equivalence tolerance: the
-        // engines may disagree on which goes first, so the fast path must
-        // decline and Auto must match the per-packet reference exactly.
+    fn fast_path_orders_near_ties_exactly() {
+        // Heads one picosecond apart, and a later-id head at the same
+        // instant as an earlier one's window: integer time orders both, so
+        // the fast path keeps the run and matches the reference bit for bit.
         let mesh = Mesh::new(1, 2).unwrap();
         let msgs = vec![
-            Message::new(MsgId(0), NodeId(0), NodeId(1), 8192 * 3),
+            Message::new(MsgId(0), NodeId(0), NodeId(1), 8192 * 3).with_ready_at(2e-3),
             Message::new(MsgId(1), NodeId(0), NodeId(1), 8192 * 3).with_ready_at(5e-7),
+            Message::new(MsgId(2), NodeId(0), NodeId(1), 8192).with_ready_at(2e-3),
         ];
         let sim = PacketSim::new(cfg());
-        assert!(sim.run_coalesced(&mesh, &msgs).unwrap().is_none());
-        let auto = sim.simulate(&mesh, &msgs).unwrap();
+        let fast = sim.run_coalesced(&mesh, &msgs).unwrap().expect("fast path");
         let exact = sim.run_reference(&mesh, &msgs).unwrap();
-        assert_eq!(auto.makespan_ns(), exact.makespan_ns());
+        assert_bits_eq(&mesh, &fast, &exact);
+        // Message 1 (1 ps) goes first, then 0 and 2 tie at 2 ps by id.
+        let c = |i| exact.completion_ns(MsgId(i)).unwrap();
+        assert!(c(1) < c(0) && c(0) < c(2));
     }
 
     #[test]

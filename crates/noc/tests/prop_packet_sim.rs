@@ -60,10 +60,11 @@ proptest! {
 
     // Dependency chains never interleave two trains on a link (at most one
     // message is in flight at a time), so the coalescing fast path must
-    // accept them — and its makespan may never beat the exact per-packet
-    // engine by more than the documented 1e-6 ns tolerance. The trace-level
-    // auditor cross-checks the train start curves against the per-packet
-    // lower bound for the same guarantee at every hop, not just the end.
+    // accept them — and its completions and busy time must equal the exact
+    // per-packet engine's bit for bit, so it can never beat it. The
+    // trace-level auditor cross-checks the train start curves against the
+    // per-packet lower bound for the same guarantee at every hop, not just
+    // the end.
     #[test]
     fn fast_path_never_beats_reference_on_contention_free_dags(
         raw in prop::collection::vec((0usize..16, 0usize..16, 1u64..400_000), 1..10),
@@ -92,9 +93,10 @@ proptest! {
         let mut ref_trace = MemorySink::new();
         let exact = sim.run_reference_traced(&mesh, &msgs, &mut ref_trace).unwrap();
 
-        prop_assert!(
-            fast.makespan_ns() >= exact.makespan_ns() - 1e-6,
-            "fast {} beats reference {}",
+        prop_assert_eq!(
+            fast.makespan_ns().to_bits(),
+            exact.makespan_ns().to_bits(),
+            "fast {} vs reference {}",
             fast.makespan_ns(),
             exact.makespan_ns()
         );
@@ -103,7 +105,11 @@ proptest! {
                 fast.completion_ns(m.id).expect("simulated"),
                 exact.completion_ns(m.id).expect("simulated"),
             );
-            prop_assert!(a >= b - 1e-6, "{}: fast {a} beats reference {b}", m.id);
+            prop_assert_eq!(a.to_bits(), b.to_bits(), "{}: fast {} vs reference {}", m.id, a, b);
+        }
+        for (_, _, l) in mesh.links() {
+            let (a, b) = (fast.link_stats().busy_ns(l), exact.link_stats().busy_ns(l));
+            prop_assert_eq!(a.to_bits(), b.to_bits(), "{:?}: busy {} vs {}", l, a, b);
         }
 
         let auditor = InvariantAuditor::new();

@@ -14,6 +14,9 @@
 //!   the run (it carries the whole DAG or none of it), its per-hop start
 //!   curves may never precede the per-packet reference
 //!   ([`InvariantAuditor::check_fast_path`]),
+//! * **engine identity** — the `Auto` engine's completions and per-link
+//!   busy time equal the per-packet reference's bit for bit, whichever
+//!   engine it kept ([`AuditViolation::EngineMismatch`]),
 //! * **schedule conformance** — every declared dependency is honored: a
 //!   dependent op's injection never precedes its dependency's delivery,
 //! * **reduction contract** — each gradient atom receives at least
@@ -35,8 +38,10 @@ use std::fmt;
 
 use meshcoll_collectives::verify::{self, VerifyError};
 use meshcoll_collectives::{OpKind, Schedule};
-use meshcoll_noc::{InvariantAuditor, MemorySink, MsgId, TraceEvent, TraceSink, Violation};
-use meshcoll_topo::Mesh;
+use meshcoll_noc::{
+    InvariantAuditor, MemorySink, MsgId, SimOutcome, TraceEvent, TraceSink, Violation,
+};
+use meshcoll_topo::{LinkId, Mesh};
 
 use crate::engine::schedule_messages;
 use crate::{RunResult, SimEngine, SimError};
@@ -94,6 +99,21 @@ pub enum AuditViolation {
     /// The schedule itself breaks the collective's functional contract
     /// (too few reductions for an atom, or a wrong final value).
     Functional(VerifyError),
+    /// The `Auto` engine's outcome differs from the per-packet reference's,
+    /// which it must match bit for bit. Names the first differing value —
+    /// an op's completion, else a link's busy time — and how many differ.
+    EngineMismatch {
+        /// The op whose completion differs first, if any does.
+        op: Option<u32>,
+        /// The first link whose busy time differs, when no completion does.
+        link: Option<LinkId>,
+        /// The `Auto` engine's value, ns.
+        auto_ns: f64,
+        /// The reference's value, ns.
+        reference_ns: f64,
+        /// Completions and busy times that differ.
+        differing: usize,
+    },
 }
 
 impl fmt::Display for AuditViolation {
@@ -111,7 +131,76 @@ impl fmt::Display for AuditViolation {
                  op {dep} delivered at {dep_deliver_ns} ns"
             ),
             AuditViolation::Functional(e) => write!(f, "schedule contract: {e}"),
+            AuditViolation::EngineMismatch {
+                op,
+                link,
+                auto_ns,
+                reference_ns,
+                differing,
+            } => {
+                match (op, link) {
+                    (Some(op), _) => write!(f, "op {op} completes")?,
+                    (None, Some(link)) => write!(f, "link {} is busy", link.index())?,
+                    (None, None) => write!(f, "the outcome differs")?,
+                }
+                write!(
+                    f,
+                    " at {auto_ns} ns under Auto but {reference_ns} ns per packet \
+                     ({differing} values differ)"
+                )
+            }
         }
+    }
+}
+
+/// One run's outcome as the values the engine-identity check compares:
+/// every completion, then every link's busy time.
+#[derive(Debug, Clone)]
+struct OutcomeValues {
+    completions: Vec<f64>,
+    busy: Vec<(LinkId, f64)>,
+}
+
+impl OutcomeValues {
+    fn of(mesh: &Mesh, outcome: &SimOutcome) -> Self {
+        OutcomeValues {
+            completions: outcome.completions().to_vec(),
+            busy: mesh
+                .links()
+                .map(|(_, _, l)| (l, outcome.link_stats().busy_ns(l)))
+                .collect(),
+        }
+    }
+
+    /// Values compared.
+    fn len(&self) -> usize {
+        self.completions.len() + self.busy.len()
+    }
+
+    /// Compares `auto` with `reference` bit for bit; `None` when identical.
+    fn mismatch(auto: &Self, reference: &Self) -> Option<AuditViolation> {
+        let ops = auto
+            .completions
+            .iter()
+            .zip(&reference.completions)
+            .enumerate()
+            .filter(|(_, (a, r))| a.to_bits() != r.to_bits())
+            .map(|(i, (&a, &r))| (Some(i as u32), None, a, r));
+        let links = auto
+            .busy
+            .iter()
+            .zip(&reference.busy)
+            .filter(|(a, r)| a.1.to_bits() != r.1.to_bits())
+            .map(|(&(l, a), &(_, r))| (None, Some(l), a, r));
+        let mut differing = ops.chain(links);
+        let (op, link, auto_ns, reference_ns) = differing.next()?;
+        Some(AuditViolation::EngineMismatch {
+            op,
+            link,
+            auto_ns,
+            reference_ns,
+            differing: 1 + differing.count(),
+        })
     }
 }
 
@@ -197,8 +286,9 @@ impl SimEngine {
 
         // Exact per-packet reference: conservation, causality, exclusivity.
         let mut reference = MemorySink::new();
-        self.packet_sim()
-            .run_reference_traced(mesh, &messages, &mut reference)?;
+        let reference_outcome =
+            self.packet_sim()
+                .run_reference_traced(mesh, &messages, &mut reference)?;
         let trace = auditor.check_trace(reference.events());
         report.checks += trace.checks;
         report
@@ -211,8 +301,19 @@ impl SimEngine {
         // no trains means the whole DAG ran per-packet and there is nothing
         // to cross-check.
         let mut fast = MemorySink::new();
-        self.packet_sim()
+        let auto_outcome = self
+            .packet_sim()
             .simulate_traced(mesh, &messages, &mut fast)?;
+        // Engine identity: kept or declined, Auto's outcome is the
+        // reference's, bit for bit.
+        let (auto_values, reference_values) = (
+            OutcomeValues::of(mesh, &auto_outcome),
+            OutcomeValues::of(mesh, &reference_outcome),
+        );
+        report.checks += reference_values.len();
+        report
+            .violations
+            .extend(OutcomeValues::mismatch(&auto_values, &reference_values));
         if fast
             .events()
             .iter()
@@ -416,6 +517,40 @@ mod tests {
             .violations
             .iter()
             .any(|v| matches!(v, AuditViolation::Functional(_))));
+    }
+
+    #[test]
+    fn engine_identity_flags_a_one_ulp_difference() {
+        let mesh = Mesh::square(3).unwrap();
+        let s = Algorithm::Tto.schedule(&mesh, 1 << 16).unwrap();
+        let (messages, _) = schedule_messages(&[(&s, 0.0)]);
+        let sim = SimEngine::paper_default().packet_sim().clone();
+        let reference = OutcomeValues::of(&mesh, &sim.run_reference(&mesh, &messages).unwrap());
+        let auto = OutcomeValues::of(&mesh, &sim.simulate(&mesh, &messages).unwrap());
+        assert_eq!(OutcomeValues::mismatch(&auto, &reference), None);
+        let ulp = |x: f64| f64::from_bits(x.to_bits() + 1);
+
+        let mut late = auto.clone();
+        late.completions[5] = ulp(late.completions[5]);
+        match OutcomeValues::mismatch(&late, &reference) {
+            Some(AuditViolation::EngineMismatch {
+                op: Some(5),
+                link: None,
+                differing: 1,
+                ..
+            }) => {}
+            other => panic!("expected op 5 to differ, got {other:?}"),
+        }
+
+        let mut busier = auto.clone();
+        let (link, busy) = busier.busy[2];
+        busier.busy[2].1 = ulp(busy);
+        let v = OutcomeValues::mismatch(&busier, &reference).expect("one ulp of busy time");
+        assert!(
+            matches!(v, AuditViolation::EngineMismatch { op: None, link: Some(l), .. } if l == link),
+            "{v:?}"
+        );
+        assert!(v.to_string().contains(&format!("link {}", link.index())));
     }
 
     #[test]

@@ -331,7 +331,7 @@ mod tests {
             .unwrap();
         assert_eq!(run.status, RunStatus::Completed);
         let r = run.result.expect("completed run has timing");
-        assert!((r.total_time_ns - plain.total_time_ns).abs() < 1e-6);
+        assert_eq!(r.total_time_ns.to_bits(), plain.total_time_ns.to_bits());
     }
 
     /// The link with the most busy time in a healthy run of `s`: traffic

@@ -1,6 +1,6 @@
 //! Golden equivalence tests through the full schedule pipeline: every
-//! collective schedule this workspace generates must time identically
-//! (within 1e-6 ns) whether the packet engine runs in `Auto` mode — the
+//! collective schedule this workspace generates must time identically, bit
+//! for bit, whether the packet engine runs in `Auto` mode — the
 //! packet-train fast path with per-packet fallback — or is forced onto the
 //! exact per-packet reference.
 
@@ -9,7 +9,14 @@ use meshcoll_noc::{MemorySink, NocConfig, TraceEvent};
 use meshcoll_sim::{SimEngine, SimMode};
 use meshcoll_topo::Mesh;
 
-const TOL_NS: f64 = 1e-6;
+/// Asserts two times are the same `f64`, bit for bit.
+fn assert_same(a: f64, e: f64, what: &str) {
+    assert_eq!(
+        a.to_bits(),
+        e.to_bits(),
+        "{what}: auto {a} vs per-packet {e}"
+    );
+}
 
 /// Times `algo` on `mesh` under both engine modes and checks the results
 /// agree on makespan, per-schedule completion, and both link metrics.
@@ -21,29 +28,18 @@ fn assert_schedule_equivalent(mesh: &Mesh, algo: Algorithm, data: u64) {
     let exact = SimEngine::paper_default().with_mode(SimMode::PerPacket);
     let (ra, ca) = auto.run_phased(mesh, &[(&schedule, 0.0)]).unwrap();
     let (re, ce) = exact.run_phased(mesh, &[(&schedule, 0.0)]).unwrap();
-    assert!(
-        (ra.total_time_ns - re.total_time_ns).abs() <= TOL_NS,
-        "{algo} on {mesh}: auto {} ns vs per-packet {} ns",
-        ra.total_time_ns,
-        re.total_time_ns
-    );
-    assert!(
-        (ca[0] - ce[0]).abs() <= TOL_NS,
-        "{algo} on {mesh}: phase completion {} vs {}",
-        ca[0],
-        ce[0]
-    );
-    assert!(
-        (ra.link_utilization_percent - re.link_utilization_percent).abs() <= 1e-6,
-        "{algo} on {mesh}: utilization {} vs {}",
+    let what = format!("{algo} on {mesh}");
+    assert_same(ra.total_time_ns, re.total_time_ns, &what);
+    assert_same(ca[0], ce[0], &format!("{what}: phase completion"));
+    assert_same(
         ra.link_utilization_percent,
-        re.link_utilization_percent
+        re.link_utilization_percent,
+        &format!("{what}: utilization"),
     );
-    assert!(
-        (ra.used_link_percent - re.used_link_percent).abs() <= 1e-9,
-        "{algo} on {mesh}: used-link {} vs {}",
+    assert_same(
         ra.used_link_percent,
-        re.used_link_percent
+        re.used_link_percent,
+        &format!("{what}: used-link"),
     );
 }
 
@@ -107,8 +103,8 @@ fn assert_fast_path_carries(mesh: &Mesh, algo: Algorithm, data: u64) {
 #[test]
 fn congested_tto_64mb_stays_on_fast_path() {
     // The paper's most contended schedule at full Fig 8 scale: ~97k
-    // messages with exact hop-0 injection ties on every column link. The
-    // tie/split tiers must keep the whole run coalesced.
+    // messages with same-instant injection ties on every column link. The
+    // append/split tiers must keep the whole run coalesced.
     assert_fast_path_carries(&Mesh::square(5).unwrap(), Algorithm::Tto, 64 << 20);
 }
 
@@ -120,10 +116,10 @@ fn congested_ring_64mb_stays_on_fast_path() {
 
 #[test]
 fn congested_golden_schedules_time_identically() {
-    // Drift check at a size large enough to produce hundreds of packets
-    // per train on every shared link (the 64 MB fast-path runs above are
-    // cross-checked against the reference at full size by the perf
-    // baseline, where the ≥10x speedup gate also runs).
+    // Bit-identity check at a size large enough to produce hundreds of
+    // packets per train on every shared link (the 64 MB fast-path runs
+    // above are cross-checked against the reference at full size by the
+    // perf baseline, where the speedup gate also runs).
     let mesh = Mesh::square(5).unwrap();
     assert_schedule_equivalent(&mesh, Algorithm::Tto, 16 << 20);
     assert_schedule_equivalent(&mesh, Algorithm::Ring, 16 << 20);
@@ -143,9 +139,9 @@ fn phased_overlap_runs_time_identically() {
         .with_mode(SimMode::PerPacket)
         .run_phased(&mesh, &phases)
         .unwrap();
-    assert!((ra.total_time_ns - re.total_time_ns).abs() <= TOL_NS);
+    assert_same(ra.total_time_ns, re.total_time_ns, "phased makespan");
     for (a, e) in ca.iter().zip(&ce) {
-        assert!((a - e).abs() <= TOL_NS, "phase completion {a} vs {e}");
+        assert_same(*a, *e, "phase completion");
     }
 }
 
@@ -170,9 +166,6 @@ fn repaired_schedules_time_identically_under_faults() {
             run_a.result.as_ref().expect("repaired").total_time_ns,
             run_e.result.as_ref().expect("repaired").total_time_ns,
         );
-        assert!(
-            (ta - te).abs() <= TOL_NS,
-            "{algo} repaired: auto {ta} vs per-packet {te}"
-        );
+        assert_same(ta, te, &format!("{algo} repaired"));
     }
 }
