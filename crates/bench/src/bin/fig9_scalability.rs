@@ -9,8 +9,9 @@
 //!
 //! A scale section then pushes past the paper's 256 chiplets: Ring and TTO
 //! AllReduce on 32x32 and (default/full sweeps) 64x64 fabrics — flat mesh,
-//! torus, and a 2x2-package two-level hierarchy — all through the streaming
-//! fast path. Retained scratch per op and per-op wall-clock are asserted
+//! torus, and a 2x2-package two-level hierarchy — all through
+//! `SimEngine::run_streamed` on the packet-train fast path. Retained scratch
+//! per op and per-op wall-clock are asserted
 //! against the 16x16 reference in-process (within-run ratios, so they bind
 //! on any machine), and `--gate` additionally fails the run when per-op
 //! memory regresses against the committed baseline.
@@ -212,8 +213,8 @@ fn main() {
             .with("growth", growth),
     );
 
-    // Scale section: 1,024- and 4,096-chiplet fabrics on the streaming fast
-    // path. Every point uses a fresh engine so the retained-scratch reading
+    // Scale section: 1,024- and 4,096-chiplet fabrics through `run_streamed`.
+    // Every point uses a fresh engine so the retained-scratch reading
     // is the high-water mark of that point alone.
     let scale_sizes: &[usize] = match cli.sweep {
         SweepSize::Quick => &[32],
@@ -286,13 +287,13 @@ fn main() {
                 // Retained memory must grow no faster than the op count
                 // (1.5x headroom for pool bucket rounding). Per-op
                 // wall-clock is budgeted at 50x the 16x16 reference: the
-                // 64x64 working set (~7 GB) falls out of every cache level
-                // the 30 MB reference fits in, which alone costs ~13-17x
-                // per op, and single-run noise on the large point can add
-                // a factor on top — while an accidentally quadratic path
-                // would be ~256x, which this still catches. Both are
-                // within-run ratios, so they hold on any machine and
-                // build profile.
+                // 64x64 working set (~4 GB) falls out of cache levels the
+                // 16x16 reference's tens of MB partly fit in, which has
+                // cost 1.4-14x per op, and single-run noise on the large
+                // point can add a factor on top — while an accidentally
+                // quadratic path would be ~256x, which this still catches.
+                // Both are within-run ratios, so they hold on any machine
+                // and build profile.
                 assert!(
                     bpo <= 1.5 * ref_bpo,
                     "{algo} on {n}x{n} {}: {bpo:.1} retained bytes/op vs {ref_bpo:.1} at 16x16 \

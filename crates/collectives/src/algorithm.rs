@@ -207,8 +207,8 @@ impl Algorithm {
     }
 
     /// Streams this algorithm's ops into `sink` instead of materializing a
-    /// [`Schedule`] — the entry point for O(messages)-memory lowering at
-    /// 1,000+ chiplets (see [`crate::stream`]).
+    /// [`Schedule`] — the entry point for consumers that keep O(1) state per
+    /// op, such as op counters, at 1,000+ chiplets (see [`crate::stream`]).
     ///
     /// Ring, RingBiEven, RingBiOdd, MultiTree, and TTO generate natively
     /// into the sink (no intermediate schedule); the remaining baselines

@@ -237,7 +237,7 @@ fn repaired_ring(
         &mc.order,
         (0, data_bytes),
         0,
-        |p| rs.completion[p].clone(),
+        |p| &rs.completion[p][..],
         &feeders,
     )?;
     Ok(Repair {
@@ -301,7 +301,7 @@ fn repaired_ring_bi(
         &mc.order,
         (0, half),
         0,
-        |p| rs_a.completion[p].clone(),
+        |p| &rs_a.completion[p][..],
         &feeders_a,
     )?;
     let rs_b = ring_reduce_scatter(&mut b, &rev, (half, data_bytes), 0, no_entry, &feeders_b)?;
@@ -310,7 +310,7 @@ fn repaired_ring_bi(
         &rev,
         (half, data_bytes),
         0,
-        |p| rs_b.completion[p].clone(),
+        |p| &rs_b.completion[p][..],
         &feeders_b,
     )?;
     Ok(Repair {

@@ -73,4 +73,4 @@ pub use algorithm::{Algorithm, Applicability, ScheduleOptions};
 pub use error::CollectiveError;
 pub use online::{repair_suffix, SuffixContext, SuffixRepair};
 pub use schedule::{CollectiveOp, OpId, OpKind, Schedule, ScheduleBuilder};
-pub use stream::{OpSink, ScheduleStream, StreamedOp};
+pub use stream::OpSink;

@@ -51,7 +51,7 @@ pub(crate) fn emit(
         &order,
         (0, data_bytes),
         0,
-        |p| rs.completion[p].clone(),
+        |p| &rs.completion[p][..],
         &[],
     )?;
     Ok(())

@@ -84,7 +84,7 @@ fn hierarchical_half(
     for pos in 0..inner_count {
         let part = outer_parts[(pos + 1) % inner_count];
         let order = cross_order(pos);
-        let entry = |l: usize| rs_outer[l].completion[pos].clone();
+        let entry = |l: usize| &rs_outer[l].completion[pos][..];
         rs_inner.push(ring_reduce_scatter(
             b,
             &order,
@@ -100,7 +100,7 @@ fn hierarchical_half(
     for pos in 0..inner_count {
         let part = outer_parts[(pos + 1) % inner_count];
         let order = cross_order(pos);
-        let entry = |l: usize| rs_inner[pos].completion[l].clone();
+        let entry = |l: usize| &rs_inner[pos].completion[l][..];
         ag_inner.push(ring_all_gather(
             b,
             &order,
@@ -114,7 +114,7 @@ fn hierarchical_half(
     // Phase 4: AllGather along each outer line.
     for line in 0..outer_count {
         let order: Vec<NodeId> = (0..inner_count).map(|p| node(line, p)).collect();
-        let entry = |pos: usize| ag_inner[pos].completion[line].clone();
+        let entry = |pos: usize| &ag_inner[pos].completion[line][..];
         ring_all_gather(b, &order, range, 0, entry, &[])?;
     }
     Ok(())

@@ -46,14 +46,7 @@ pub(crate) fn emit(
 
     // Direction A: cycle order, first half of the gradient.
     let rs_a = ring_reduce_scatter(sink, &cycle, (0, half), 0, no_entry, &[])?;
-    ring_all_gather(
-        sink,
-        &cycle,
-        (0, half),
-        0,
-        |p| rs_a.completion[p].clone(),
-        &[],
-    )?;
+    ring_all_gather(sink, &cycle, (0, half), 0, |p| &rs_a.completion[p][..], &[])?;
 
     // Direction B: reversed order (opposite directed links), second half.
     let rev: Vec<_> = cycle.iter().rev().copied().collect();
@@ -63,7 +56,7 @@ pub(crate) fn emit(
         &rev,
         (half, data_bytes),
         0,
-        |p| rs_b.completion[p].clone(),
+        |p| &rs_b.completion[p][..],
         &[],
     )?;
     Ok(())

@@ -88,7 +88,7 @@ pub(crate) fn emit(
         &cycle,
         (0, half),
         0,
-        |p| rs_a.completion[p].clone(),
+        |p| &rs_a.completion[p][..],
         &[feeder_a],
     )?;
 
@@ -105,7 +105,7 @@ pub(crate) fn emit(
         &rev,
         (half, data_bytes),
         0,
-        |p| rs_b.completion[p].clone(),
+        |p| &rs_b.completion[p][..],
         &[feeder_b],
     )?;
     Ok(())

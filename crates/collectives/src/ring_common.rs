@@ -51,9 +51,20 @@ pub(crate) struct AgPhase {
     pub completion: Vec<Vec<OpId>>,
 }
 
+/// `x mod k` for the ring offsets this module forms, which all lie in
+/// `[-k, 2k)`: one compare-and-add instead of an integer division per op.
 #[inline]
 fn wrap(x: isize, k: usize) -> usize {
-    x.rem_euclid(k as isize) as usize
+    let k = k as isize;
+    debug_assert!((-k..2 * k).contains(&x), "ring offset {x} out of range");
+    let x = if x < 0 {
+        x + k
+    } else if x >= k {
+        x - k
+    } else {
+        x
+    };
+    x as usize
 }
 
 /// Builds the ReduceScatter half of a ring phase.
@@ -62,12 +73,15 @@ fn wrap(x: isize, k: usize) -> usize {
 /// position `p` — used by hierarchical algorithms to gate a phase on the
 /// previous phase's per-node completion (a node may only forward data that
 /// already includes its own, fully prepared contribution).
-pub(crate) fn ring_reduce_scatter(
+///
+/// Every op's dependency list is assembled in one reused buffer, so
+/// emission allocates O(k) per phase rather than once per op.
+pub(crate) fn ring_reduce_scatter<'e>(
     b: &mut dyn OpSink,
     order: &[NodeId],
     range: (u64, u64),
     chunk: u32,
-    entry: impl Fn(usize) -> Vec<OpId>,
+    entry: impl Fn(usize) -> &'e [OpId],
     feeders: &[Feeder],
 ) -> Result<RsPhase, CollectiveError> {
     let k = order.len();
@@ -83,7 +97,7 @@ pub(crate) fn ring_reduce_scatter(
         let mut feed: Vec<OpId> = Vec::with_capacity(k);
         for i in 0..k {
             let part = parts[wrap(j - i as isize, k)];
-            let deps: Vec<OpId> = feed.last().copied().into_iter().collect();
+            let prev = feed.last().copied();
             feed.push(b.push(
                 f.node,
                 order[f.merge_pos],
@@ -91,7 +105,7 @@ pub(crate) fn ring_reduce_scatter(
                 part.1,
                 OpKind::Reduce,
                 chunk,
-                &deps,
+                prev.as_slice(),
             ));
         }
         feeds.push(feed);
@@ -102,11 +116,13 @@ pub(crate) fn ring_reduce_scatter(
     // 4,096-node rings is tens of MB of pure scratch.
     let mut prev: Vec<OpId> = Vec::new();
     let mut row: Vec<OpId> = Vec::with_capacity(k);
+    let mut deps: Vec<OpId> = Vec::new();
     for s in 0..k - 1 {
         row.clear();
         for p in 0..k {
             let part = parts[wrap(p as isize - s as isize, k)];
-            let mut deps = entry(p);
+            deps.clear();
+            deps.extend_from_slice(entry(p));
             if s > 0 {
                 deps.push(prev[wrap(p as isize - 1, k)]);
             }
@@ -142,7 +158,7 @@ pub(crate) fn ring_reduce_scatter(
             // The terminal node's own contribution to its final part is
             // added locally by its entry ops (e.g. the previous hierarchy
             // phase), not by the ring chain — completion must wait for it.
-            v.extend(entry(p));
+            v.extend_from_slice(entry(p));
             v
         })
         .collect();
@@ -155,13 +171,15 @@ pub(crate) fn ring_reduce_scatter(
 /// `entry(p)` must return the dependencies establishing that ring position
 /// `p` holds its final part `(p + 1) mod K` (typically the ReduceScatter
 /// phase's `completion[p]`). Each `drain` makes its merge node forward
-/// every final part to the excluded node as it appears.
-pub(crate) fn ring_all_gather(
+/// every final part to the excluded node as it appears. Ring ops pass
+/// their dependencies as borrowed slices and drain ops share one reused
+/// buffer, so emission allocates per row, not per op.
+pub(crate) fn ring_all_gather<'e>(
     b: &mut dyn OpSink,
     order: &[NodeId],
     range: (u64, u64),
     chunk: u32,
-    entry: impl Fn(usize) -> Vec<OpId>,
+    entry: impl Fn(usize) -> &'e [OpId],
     drains: &[Feeder],
 ) -> Result<AgPhase, CollectiveError> {
     let k = order.len();
@@ -176,7 +194,7 @@ pub(crate) fn ring_all_gather(
             let deps = if s == 0 {
                 entry(p)
             } else {
-                vec![ops[s - 1][wrap(p as isize - 1, k)]]
+                std::slice::from_ref(&ops[s - 1][wrap(p as isize - 1, k)])
             };
             row.push(b.push(
                 order[p],
@@ -185,7 +203,7 @@ pub(crate) fn ring_all_gather(
                 part.1,
                 OpKind::Gather,
                 chunk,
-                &deps,
+                deps,
             ));
         }
         ops.push(row);
@@ -201,7 +219,7 @@ pub(crate) fn ring_all_gather(
             let mut v: Vec<OpId> = (0..k - 1)
                 .map(|s| ops[s][wrap(p as isize - 1, k)])
                 .collect();
-            v.extend(entry(p));
+            v.extend_from_slice(entry(p));
             v
         })
         .collect();
@@ -209,16 +227,18 @@ pub(crate) fn ring_all_gather(
     // Drain to each excluded node: the merge node owns part (j+1) and then
     // receives parts j, j-1, ... during AllGather; it forwards each to the
     // excluded node.
+    let mut deps: Vec<OpId> = Vec::new();
     for d in drains {
         let j = d.merge_pos as isize;
         let mut prev: Option<OpId> = None;
         for s in 0..k {
             let part = parts[wrap(j + 1 - s as isize, k)];
-            let mut deps: Vec<OpId> = if s == 0 {
-                entry(d.merge_pos)
+            deps.clear();
+            if s == 0 {
+                deps.extend_from_slice(entry(d.merge_pos));
             } else {
-                vec![ops[s - 1][wrap(j - 1, k)]]
-            };
+                deps.push(ops[s - 1][wrap(j - 1, k)]);
+            }
             deps.extend(prev);
             prev = Some(b.push(
                 order[d.merge_pos],
@@ -236,6 +256,6 @@ pub(crate) fn ring_all_gather(
 }
 
 /// No extra entry dependencies.
-pub(crate) fn no_entry(_p: usize) -> Vec<OpId> {
-    Vec::new()
+pub(crate) fn no_entry(_p: usize) -> &'static [OpId] {
+    &[]
 }

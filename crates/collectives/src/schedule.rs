@@ -12,7 +12,7 @@
 
 use std::fmt;
 
-use meshcoll_topo::NodeId;
+use meshcoll_topo::{NodeId, TransferDag};
 
 /// Identifier of an op within one schedule (dense, `0..n`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
@@ -129,6 +129,7 @@ impl Schedule {
     }
 
     /// Number of ops.
+    #[inline]
     pub fn len(&self) -> usize {
         self.ops.len()
     }
@@ -139,6 +140,7 @@ impl Schedule {
     }
 
     /// The ops, indexed by [`OpId`].
+    #[inline]
     pub fn ops(&self) -> &[CollectiveOp] {
         &self.ops
     }
@@ -148,6 +150,7 @@ impl Schedule {
     /// # Panics
     ///
     /// Panics if `id` is out of range.
+    #[inline]
     pub fn op(&self, id: OpId) -> &CollectiveOp {
         &self.ops[id.index()]
     }
@@ -157,6 +160,7 @@ impl Schedule {
     /// # Panics
     ///
     /// Panics if `id` is out of range.
+    #[inline]
     pub fn deps(&self, id: OpId) -> &[OpId] {
         let op = &self.ops[id.index()];
         &self.deps_arena[op.deps_start as usize..(op.deps_start + op.deps_len) as usize]
@@ -201,6 +205,40 @@ impl Schedule {
         breaks.sort_unstable();
         breaks.dedup();
         breaks
+    }
+}
+
+/// A schedule is the transfer DAG the packet engines simulate, read in
+/// place: op `i` is transfer `i`, its dependencies come straight from the
+/// CSR arena, and every op is ready at time 0.
+impl TransferDag for Schedule {
+    #[inline]
+    fn len(&self) -> usize {
+        self.ops.len()
+    }
+
+    #[inline]
+    fn src(&self, i: usize) -> NodeId {
+        self.ops[i].src
+    }
+
+    #[inline]
+    fn dst(&self, i: usize) -> NodeId {
+        self.ops[i].dst
+    }
+
+    #[inline]
+    fn bytes(&self, i: usize) -> u64 {
+        self.ops[i].bytes
+    }
+
+    #[inline]
+    fn deps(&self, i: usize) -> impl ExactSizeIterator<Item = usize> + '_ {
+        let op = &self.ops[i];
+        let start = op.deps_start as usize;
+        self.deps_arena[start..start + op.deps_len as usize]
+            .iter()
+            .map(|d| d.index())
     }
 }
 

@@ -1,35 +1,27 @@
 //! Streaming schedule generation.
 //!
-//! Materializing a full [`Schedule`] before lowering it to simulator
-//! messages retains two copies of an O(total ops) structure — fine at the
-//! paper's 256 chiplets, prohibitive at 4,096. This module decouples op
-//! *generation* from op *storage*:
+//! This module decouples op *generation* from op *storage*:
 //!
 //! * [`OpSink`] is the push-based consumer interface. Every algorithm's
 //!   generator emits ops **in dependency order** (the same topological
 //!   insertion order [`ScheduleBuilder`] enforces) into any sink.
-//!   [`ScheduleBuilder`] itself is a sink — the materialized path and the
-//!   streamed path run the *identical* generation code, so streamed
-//!   schedules are bit-identical to materialized ones by construction.
+//!   [`ScheduleBuilder`] itself is a sink — materializing a schedule runs
+//!   the *identical* generation code any other sink sees, so every sink
+//!   observes exactly the materialized schedule's ops, ids and deps.
 //! * [`Algorithm::emit_with`](crate::Algorithm::emit_with) drives a
 //!   generator natively for Ring/RingBiEven/RingBiOdd/MultiTree/TTO and
 //!   falls back to materialize-and-[`replay`] for the remaining baselines.
-//! * [`ScheduleStream`] wraps a generator in a bounded-channel iterator:
-//!   at most [`STREAM_BUFFER_OPS`] ops are in flight, so a consumer that
-//!   processes ops as they arrive holds O(1) schedule state.
 //!
-//! The `meshcoll-sim` engine consumes [`OpSink`] directly (its sink lowers
-//! each op straight into the pooled message buffer), which is how 64×64
-//! runs keep peak retained memory at one O(messages) buffer instead of
-//! three (ops + deps arena + messages).
+//! A sink that keeps O(1) state — an op counter, a statistics accumulator
+//! — consumes a 33.5M-op 64×64 schedule in constant memory. Timing a
+//! schedule needs the whole DAG: the `meshcoll-sim` engine materializes the
+//! schedule once and the packet engine reads it in place (a [`Schedule`]
+//! is a [`TransferDag`](meshcoll_topo::TransferDag)), so a run holds the
+//! schedule plus the engine's O(messages) scratch and no second copy.
 
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
-use std::thread::JoinHandle;
-
-use meshcoll_topo::{Mesh, NodeId};
+use meshcoll_topo::NodeId;
 
 use crate::schedule::{OpId, OpKind, Schedule, ScheduleBuilder};
-use crate::{Algorithm, CollectiveError, ScheduleOptions};
 
 /// Push-based consumer of a schedule's op stream.
 ///
@@ -38,6 +30,49 @@ use crate::{Algorithm, CollectiveError, ScheduleOptions};
 /// order (dependencies always refer to already-pushed ops). The returned
 /// [`OpId`]s are dense (`0..n` in push order), mirroring
 /// [`ScheduleBuilder::push`].
+///
+/// # Example
+///
+/// Counting a schedule's ops and wire bytes without retaining any op:
+///
+/// ```
+/// use meshcoll_collectives::{Algorithm, OpId, OpKind, OpSink, ScheduleOptions};
+/// use meshcoll_topo::{Mesh, NodeId};
+///
+/// #[derive(Default)]
+/// struct Tally {
+///     ops: u32,
+///     bytes: u64,
+/// }
+///
+/// impl OpSink for Tally {
+///     fn push(
+///         &mut self,
+///         _src: NodeId,
+///         _dst: NodeId,
+///         _offset: u64,
+///         bytes: u64,
+///         _kind: OpKind,
+///         _chunk: u32,
+///         _deps: &[OpId],
+///     ) -> OpId {
+///         self.ops += 1;
+///         self.bytes += bytes;
+///         OpId(self.ops - 1)
+///     }
+///
+///     fn set_participants(&mut self, _nodes: Vec<NodeId>) {}
+/// }
+///
+/// let mesh = Mesh::square(4)?;
+/// let opts = ScheduleOptions::default();
+/// let reference = Algorithm::Ring.schedule_with(&mesh, 4096, &opts)?;
+/// let mut tally = Tally::default();
+/// Algorithm::Ring.emit_with(&mesh, 4096, &opts, &mut tally)?;
+/// assert_eq!(tally.ops as usize, reference.len());
+/// assert_eq!(tally.bytes, reference.total_wire_bytes());
+/// # Ok::<(), Box<dyn std::error::Error>>(())
+/// ```
 pub trait OpSink {
     /// Accepts one op; returns its dense id.
     #[allow(clippy::too_many_arguments)]
@@ -96,216 +131,42 @@ pub fn replay(schedule: &Schedule, sink: &mut dyn OpSink) {
     }
 }
 
-/// One op as delivered by a [`ScheduleStream`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct StreamedOp {
-    /// Dense id (`0..n` in stream order).
-    pub id: OpId,
-    /// Sending node.
-    pub src: NodeId,
-    /// Receiving node.
-    pub dst: NodeId,
-    /// Start of the gradient byte range.
-    pub offset: u64,
-    /// Length of the range in bytes.
-    pub bytes: u64,
-    /// Reduce (add) or gather (overwrite).
-    pub kind: OpKind,
-    /// Chunk index for pipelined algorithms.
-    pub chunk: u32,
-    /// Ids of already-delivered ops this op depends on.
-    pub deps: Vec<OpId>,
-}
-
-/// Maximum ops buffered between a [`ScheduleStream`]'s producer thread and
-/// its consumer. Bounds the stream's retained memory independently of the
-/// schedule's total size.
-pub const STREAM_BUFFER_OPS: usize = 1024;
-
-enum StreamEvent {
-    Participants(Vec<NodeId>),
-    Op(StreamedOp),
-    Failed(CollectiveError),
-}
-
-struct ChannelSink {
-    tx: SyncSender<StreamEvent>,
-    next: u32,
-    disconnected: bool,
-}
-
-impl ChannelSink {
-    fn send(&mut self, ev: StreamEvent) {
-        if !self.disconnected && self.tx.send(ev).is_err() {
-            // The consumer dropped the stream; keep generating (ops are
-            // cheap and generators cannot abort mid-emission) but stop
-            // paying for sends.
-            self.disconnected = true;
-        }
-    }
-}
-
-impl OpSink for ChannelSink {
-    fn push(
-        &mut self,
-        src: NodeId,
-        dst: NodeId,
-        offset: u64,
-        bytes: u64,
-        kind: OpKind,
-        chunk: u32,
-        deps: &[OpId],
-    ) -> OpId {
-        let id = OpId(self.next);
-        self.next = self
-            .next
-            .checked_add(1)
-            .expect("streamed schedule exceeds u32 op ids");
-        self.send(StreamEvent::Op(StreamedOp {
-            id,
-            src,
-            dst,
-            offset,
-            bytes,
-            kind,
-            chunk,
-            deps: deps.to_vec(),
-        }));
-        id
-    }
-
-    fn set_participants(&mut self, nodes: Vec<NodeId>) {
-        self.send(StreamEvent::Participants(nodes));
-    }
-}
-
-/// An iterator over a schedule's ops, produced on demand.
-///
-/// The generator runs on a dedicated producer thread bounded to
-/// [`STREAM_BUFFER_OPS`] in-flight ops; pulling from the iterator advances
-/// it. Construction errors the generator can detect up front (wrong mesh
-/// size, data too small) are returned by [`ScheduleStream::new`]; errors
-/// that only surface mid-generation arrive as an `Err` item and terminate
-/// the stream.
-///
-/// # Example
-///
-/// ```
-/// use meshcoll_collectives::stream::ScheduleStream;
-/// use meshcoll_collectives::{Algorithm, ScheduleOptions};
-/// use meshcoll_topo::Mesh;
-///
-/// let mesh = Mesh::square(4)?;
-/// let reference = Algorithm::Ring.schedule(&mesh, 4096)?;
-/// let stream =
-///     ScheduleStream::new(Algorithm::Ring, &mesh, 4096, &ScheduleOptions::default())?;
-/// assert_eq!(stream.participants(), reference.participants());
-/// let ops: Vec<_> = stream.collect::<Result<_, _>>()?;
-/// assert_eq!(ops.len(), reference.len());
-/// # Ok::<(), Box<dyn std::error::Error>>(())
-/// ```
-#[derive(Debug)]
-pub struct ScheduleStream {
-    rx: Receiver<StreamEvent>,
-    participants: Vec<NodeId>,
-    handle: Option<JoinHandle<()>>,
-    done: bool,
-}
-
-impl ScheduleStream {
-    /// Starts streaming `algorithm`'s schedule for `data_bytes` per node.
-    ///
-    /// # Errors
-    ///
-    /// Returns the generator's construction error ([`CollectiveError`])
-    /// when the algorithm cannot start on this mesh at all — the same
-    /// errors [`Algorithm::schedule_with`] reports up front.
-    pub fn new(
-        algorithm: Algorithm,
-        mesh: &Mesh,
-        data_bytes: u64,
-        opts: &ScheduleOptions,
-    ) -> Result<Self, CollectiveError> {
-        let (tx, rx) = sync_channel(STREAM_BUFFER_OPS);
-        let mesh = mesh.clone();
-        let opts = *opts;
-        let handle = std::thread::Builder::new()
-            .name("schedule-stream".into())
-            .spawn(move || {
-                let mut sink = ChannelSink {
-                    tx,
-                    next: 0,
-                    disconnected: false,
-                };
-                if let Err(e) = algorithm.emit_with(&mesh, data_bytes, &opts, &mut sink) {
-                    sink.send(StreamEvent::Failed(e));
-                }
-            })
-            .expect("spawn schedule-stream producer");
-        // Every generator announces participants before its first op, so
-        // the first event decides between a live stream and an up-front
-        // construction error.
-        match rx.recv() {
-            Ok(StreamEvent::Participants(participants)) => Ok(ScheduleStream {
-                rx,
-                participants,
-                handle: Some(handle),
-                done: false,
-            }),
-            Ok(StreamEvent::Failed(e)) => {
-                let _ = handle.join();
-                Err(e)
-            }
-            Ok(StreamEvent::Op(_)) | Err(_) => {
-                unreachable!("generator emitted an op before participants")
-            }
-        }
-    }
-
-    /// The participating (training) nodes, known before the first op.
-    pub fn participants(&self) -> &[NodeId] {
-        &self.participants
-    }
-}
-
-impl Iterator for ScheduleStream {
-    type Item = Result<StreamedOp, CollectiveError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        if self.done {
-            return None;
-        }
-        match self.rx.recv() {
-            Ok(StreamEvent::Op(op)) => Some(Ok(op)),
-            Ok(StreamEvent::Failed(e)) => {
-                self.done = true;
-                Some(Err(e))
-            }
-            Ok(StreamEvent::Participants(_)) => {
-                unreachable!("generator announced participants twice")
-            }
-            Err(_) => {
-                self.done = true;
-                None
-            }
-        }
-    }
-}
-
-impl Drop for ScheduleStream {
-    fn drop(&mut self) {
-        // Unblock the producer (it detects the closed channel on its next
-        // send) and reap it.
-        drop(std::mem::replace(&mut self.rx, sync_channel(1).1));
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Algorithm, CollectiveError, ScheduleOptions};
+    use meshcoll_topo::Mesh;
+
+    /// One pushed op: `(src, dst, offset, bytes, kind, chunk, deps)`.
+    type Pushed = (NodeId, NodeId, u64, u64, OpKind, u32, Vec<OpId>);
+
+    /// Records every push verbatim.
+    #[derive(Default)]
+    struct Collect {
+        participants: Vec<NodeId>,
+        ops: Vec<Pushed>,
+    }
+
+    impl OpSink for Collect {
+        fn push(
+            &mut self,
+            src: NodeId,
+            dst: NodeId,
+            offset: u64,
+            bytes: u64,
+            kind: OpKind,
+            chunk: u32,
+            deps: &[OpId],
+        ) -> OpId {
+            self.ops
+                .push((src, dst, offset, bytes, kind, chunk, deps.to_vec()));
+            OpId(self.ops.len() as u32 - 1)
+        }
+
+        fn set_participants(&mut self, nodes: Vec<NodeId>) {
+            self.participants = nodes;
+        }
+    }
 
     fn assert_stream_matches(algorithm: Algorithm, mesh: &Mesh, data_bytes: u64) {
         let opts = ScheduleOptions {
@@ -313,17 +174,19 @@ mod tests {
             dbtree_segment_bytes: 1024,
         };
         let reference = algorithm.schedule_with(mesh, data_bytes, &opts).unwrap();
-        let stream = ScheduleStream::new(algorithm, mesh, data_bytes, &opts).unwrap();
-        assert_eq!(stream.participants(), reference.participants());
-        let ops: Vec<StreamedOp> = stream.map(|r| r.unwrap()).collect();
-        assert_eq!(ops.len(), reference.len());
-        for (op, id) in ops.iter().zip(reference.op_ids()) {
+        let mut sink = Collect::default();
+        algorithm
+            .emit_with(mesh, data_bytes, &opts, &mut sink)
+            .unwrap();
+        assert_eq!(sink.participants, reference.participants());
+        assert_eq!(sink.ops.len(), reference.len());
+        for (op, id) in sink.ops.iter().zip(reference.op_ids()) {
             let r = reference.op(id);
-            assert_eq!(op.id, id);
-            assert_eq!((op.src, op.dst), (r.src, r.dst));
-            assert_eq!((op.offset, op.bytes), (r.offset, r.bytes));
-            assert_eq!((op.kind, op.chunk), (r.kind, r.chunk));
-            assert_eq!(op.deps, reference.deps(id));
+            let (src, dst, offset, bytes, kind, chunk, deps) = op;
+            assert_eq!((*src, *dst), (r.src, r.dst));
+            assert_eq!((*offset, *bytes), (r.offset, r.bytes));
+            assert_eq!((*kind, *chunk), (r.kind, r.chunk));
+            assert_eq!(deps.as_slice(), reference.deps(id));
         }
     }
 
@@ -349,23 +212,11 @@ mod tests {
     #[test]
     fn construction_errors_surface_up_front() {
         let mesh = Mesh::square(5).unwrap();
-        let err = ScheduleStream::new(
-            Algorithm::RingBiEven,
-            &mesh,
-            1 << 20,
-            &ScheduleOptions::default(),
-        );
+        let mut sink = Collect::default();
+        let err =
+            Algorithm::RingBiEven.emit_with(&mesh, 1 << 20, &ScheduleOptions::default(), &mut sink);
         assert!(matches!(err, Err(CollectiveError::Inapplicable { .. })));
-    }
-
-    #[test]
-    fn dropping_a_stream_midway_does_not_hang() {
-        let mesh = Mesh::square(4).unwrap();
-        let mut stream =
-            ScheduleStream::new(Algorithm::Ring, &mesh, 1 << 20, &ScheduleOptions::default())
-                .unwrap();
-        assert!(stream.next().unwrap().is_ok());
-        drop(stream); // must join the producer without deadlock
+        assert!(sink.ops.is_empty());
     }
 
     #[test]

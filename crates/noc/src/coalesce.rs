@@ -73,14 +73,14 @@
 //! asserted by `sim/tests/zero_alloc.rs` through the counting allocator in
 //! `meshcoll_util::alloc`.
 
-use meshcoll_topo::Mesh;
+use meshcoll_topo::{Mesh, TransferDag};
 
 use crate::packet_sim::{last_packet_bytes, RunSetup};
 use crate::time::{
     link_carries, ns_to_ps, ps_to_ns, rank, rank_class, LinkTiming, DELIVER, HOP, INJECT,
 };
 use crate::trace::{TraceEvent, TraceSink};
-use crate::{Message, NocConfig, NocError};
+use crate::{MsgId, NocConfig, NocError};
 
 /// Outcome of one fast-path attempt, with results written into the
 /// caller's buffers.
@@ -795,22 +795,21 @@ impl WorkScratch {
 /// arrival handler synthesizes it from the event time) to keep injection
 /// allocation-free.
 #[inline]
-fn inject_event<T: TraceSink>(
+fn inject_event<D: TransferDag + ?Sized, T: TraceSink>(
     queue: &mut EventQueue,
     sink: &mut T,
-    messages: &[Message],
+    dag: &D,
     local: usize,
     pcount: u64,
     at: u64,
     released_by: u32,
 ) {
     if T::ENABLED {
-        let msg = &messages[local];
         sink.record(TraceEvent::Inject {
-            msg: msg.id,
-            src: msg.src,
-            dst: msg.dst,
-            bytes: msg.bytes,
+            msg: MsgId(local),
+            src: dag.src(local),
+            dst: dag.dst(local),
+            bytes: dag.bytes(local),
             packets: pcount,
             at_ns: ps_to_ns(at),
         });
@@ -832,10 +831,10 @@ fn inject_event<T: TraceSink>(
 /// `completion` and `sink` hold a partial run, so callers wanting clean
 /// traces buffer into a temporary sink first.
 #[allow(clippy::too_many_arguments, clippy::too_many_lines)]
-pub(crate) fn run<T: TraceSink>(
+pub(crate) fn run<D: TransferDag + ?Sized, T: TraceSink>(
     cfg: &NocConfig,
     mesh: &Mesh,
-    messages: &[Message],
+    dag: &D,
     setup: &RunSetup,
     ws: &mut WorkScratch,
     completion: &mut [f64],
@@ -843,7 +842,7 @@ pub(crate) fn run<T: TraceSink>(
     sink: &mut T,
 ) -> Result<Attempt, NocError> {
     debug_assert!(cfg.faults.flaps().is_empty());
-    let n = messages.len();
+    let n = dag.len();
     ws.begin_run(mesh.link_id_space());
     let WorkScratch {
         timing,
@@ -887,23 +886,24 @@ pub(crate) fn run<T: TraceSink>(
     let mut max_ready = 0u64;
     let mut expected_events = n;
     let (mut memo_bytes, mut memo_pcount) = (0u64, 0u64);
-    for (i, m) in messages.iter().enumerate() {
+    for i in 0..n {
         let r = setup.route(i);
         if r.len() >= usize::from(u16::MAX) {
             // Event hop indices are u16; no physical mesh route gets close.
             busy_est.fill(0);
             return Ok(Attempt::Contended);
         }
-        let ready = ns_to_ps(m.ready_at_ns);
+        let ready = ns_to_ps(dag.ready_at_ns(i));
         max_ready = max_ready.max(ready);
         expected_events += r.len() + 1;
         // Wave-synchronous schedules repeat a handful of message sizes, so
         // one memoized division covers almost every packetization.
-        let pcount = if m.bytes == memo_bytes {
+        let bytes = dag.bytes(i);
+        let pcount = if bytes == memo_bytes {
             memo_pcount
         } else {
-            memo_bytes = m.bytes;
-            memo_pcount = cfg.packets_for(m.bytes);
+            memo_bytes = bytes;
+            memo_pcount = cfg.packets_for(bytes);
             memo_pcount
         };
         for &lk in r {
@@ -911,16 +911,18 @@ pub(crate) fn run<T: TraceSink>(
             let b = &mut busy_est[lk.index()];
             *b = b.saturating_add(pcount.saturating_mul(s));
         }
-        for d in &m.deps {
-            dep_off[d.index() + 1] += 1;
+        let deps = dag.deps(i);
+        let pending_deps = deps.len() as u32;
+        for d in deps {
+            dep_off[d + 1] += 1;
         }
         msgs.push(MsgState {
             earliest: ready,
             age: 0,
-            bytes: m.bytes,
+            bytes,
             pcount,
             curve: CurveRef::EMPTY,
-            pending_deps: m.deps.len() as u32,
+            pending_deps,
             gen: 0,
             pending_hop: 0,
             blocked: setup.blocked[i],
@@ -960,8 +962,8 @@ pub(crate) fn run<T: TraceSink>(
     let mut injections = 0u32;
 
     for (l, st) in msgs.iter().enumerate() {
-        for d in &messages[l].deps {
-            let c = &mut dep_cursor[d.index()];
+        for d in dag.deps(l) {
+            let c = &mut dep_cursor[d];
             dep_flat[*c as usize] = l as u32;
             *c += 1;
         }
@@ -969,7 +971,7 @@ pub(crate) fn run<T: TraceSink>(
             if st.blocked {
                 stalled += 1;
             } else {
-                inject_event(queue, sink, messages, l, st.pcount, st.earliest, 0);
+                inject_event(queue, sink, dag, l, st.pcount, st.earliest, 0);
             }
             injected += 1;
         }
@@ -991,10 +993,9 @@ pub(crate) fn run<T: TraceSink>(
             delivered += 1;
             last_progress = last_progress.max(t);
             if T::ENABLED {
-                let m = &messages[mi];
                 sink.record(TraceEvent::Deliver {
-                    msg: m.id,
-                    bytes: m.bytes,
+                    msg: MsgId(mi),
+                    bytes: msgs[mi].bytes,
                     at_ns: done_ns,
                 });
             }
@@ -1011,7 +1012,7 @@ pub(crate) fn run<T: TraceSink>(
                         // Released at this very instant: the injection
                         // inherits this delivery's age.
                         let released_by = if d.earliest == t { age } else { 0 };
-                        inject_event(queue, sink, messages, dl, d.pcount, d.earliest, released_by);
+                        inject_event(queue, sink, dag, dl, d.pcount, d.earliest, released_by);
                     }
                     injected += 1;
                 }
@@ -1155,7 +1156,7 @@ pub(crate) fn run<T: TraceSink>(
             busy_ps[li] += (pcount - 1) * s + ser_last + ovh;
             if T::ENABLED {
                 sink.record(TraceEvent::TrainSplit {
-                    msg: messages[am].id,
+                    msg: MsgId(am),
                     hop: u32::from(a_hop),
                     link,
                     split_index: k_a,
@@ -1163,7 +1164,7 @@ pub(crate) fn run<T: TraceSink>(
                     last_start_ns: ps_to_ns(a_new_last),
                 });
                 sink.record(TraceEvent::TrainHop {
-                    msg: messages[mi].id,
+                    msg: MsgId(mi),
                     hop: u32::from(ev.hop),
                     link,
                     packets: pcount,
@@ -1255,7 +1256,7 @@ pub(crate) fn run<T: TraceSink>(
         busy_ps[li] += (pcount - 1) * s + ser_last + ovh;
         if T::ENABLED {
             sink.record(TraceEvent::TrainHop {
-                msg: messages[mi].id,
+                msg: MsgId(mi),
                 hop: u32::from(ev.hop),
                 link,
                 packets: pcount,

@@ -8,8 +8,11 @@
 //! the configuration the paper uses (Table II: 25 GB/s links, 8 KiB packets,
 //! 512 B flits, 21 ns per-flit latency, 1 GHz routers, 4 VCs).
 //!
-//! Two engines share one input format ([`Message`] DAGs) and one output
-//! format ([`SimOutcome`]):
+//! Two engines share one input format — a DAG of transfers, written as
+//! [`Message`]s — and one output format ([`SimOutcome`]). The packet engine
+//! also reads any [`TransferDag`](meshcoll_topo::TransferDag) in place
+//! ([`PacketSim::simulate_dag`]), so a collective schedule runs without
+//! being copied into messages:
 //!
 //! * [`PacketSim`] — an event-driven packet-granularity simulator. Packets
 //!   traverse their XY route hop by hop; each directed link serializes the

@@ -1,6 +1,6 @@
 use std::fmt;
 
-use meshcoll_topo::NodeId;
+use meshcoll_topo::{NodeId, TransferDag};
 
 /// Identifier of a message within one simulation run. Ids must be dense
 /// (`0..n` in input order) so the simulators can index by id.
@@ -25,7 +25,9 @@ impl fmt::Display for MsgId {
 ///
 /// A message becomes *ready* when all its dependencies have completed
 /// (delivered their last packet); it is then packetized and injected at its
-/// source. Collective schedules map one `CollectiveOp` to one `Message`.
+/// source. The engines read any [`TransferDag`] in place — a collective
+/// schedule runs without conversion (one op is one transfer) — so a
+/// `Message` list is the builder for hand-written DAGs in tests and tools.
 ///
 /// # Example
 ///
@@ -86,10 +88,54 @@ impl Message {
     }
 }
 
+/// A message slice read as a [`TransferDag`]: message `i` is transfer `i`,
+/// and it reports its own [`Message::id`] so the engines can reject
+/// non-dense ids. (The trait lives in `meshcoll-topo`, so the slice needs
+/// this local wrapper to implement it.)
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct MessageDag<'a>(pub(crate) &'a [Message]);
+
+impl TransferDag for MessageDag<'_> {
+    #[inline]
+    fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    #[inline]
+    fn src(&self, i: usize) -> NodeId {
+        self.0[i].src
+    }
+
+    #[inline]
+    fn dst(&self, i: usize) -> NodeId {
+        self.0[i].dst
+    }
+
+    #[inline]
+    fn bytes(&self, i: usize) -> u64 {
+        self.0[i].bytes
+    }
+
+    #[inline]
+    fn ready_at_ns(&self, i: usize) -> f64 {
+        self.0[i].ready_at_ns
+    }
+
+    #[inline]
+    fn deps(&self, i: usize) -> impl ExactSizeIterator<Item = usize> + '_ {
+        self.0[i].deps.iter().map(|d| d.index())
+    }
+
+    #[inline]
+    fn id(&self, i: usize) -> usize {
+        self.0[i].id.index()
+    }
+}
+
 /// Largest supported message count per simulation run.
 ///
 /// Both engines index messages densely, and several structures (route
-/// memos, the streamed lowering's op ids) pack those indices into `u32`;
+/// memos, event keys, schedule op ids) pack those indices into `u32`;
 /// past this bound a `usize → u32` narrowing would silently alias distinct
 /// messages, so [`check_count`] turns it into a typed error up front.
 pub const MAX_MESSAGES: usize = u32::MAX as usize;
@@ -110,38 +156,40 @@ pub(crate) fn check_count(n: usize) -> Result<(), crate::NocError> {
 /// non-empty payloads, distinct endpoints. Shared by both simulator engines.
 pub(crate) fn validate(messages: &[Message]) -> Result<(), crate::NocError> {
     check_count(messages.len())?;
-    for (i, m) in messages.iter().enumerate() {
-        validate_one(i, m, messages.len())?;
+    for i in 0..messages.len() {
+        validate_one(&MessageDag(messages), i)?;
     }
     Ok(())
 }
 
-/// The per-message half of [`validate`], so single-pass preparers can fold
+/// The per-transfer half of [`validate`], so single-pass preparers can fold
 /// validation into their main loop instead of paying a separate full sweep
-/// over a ~10^5-message DAG. Callers must [`check_count`] once up front.
+/// over a ~10^5-transfer DAG; returns the transfer's `(src, dst)` so the
+/// caller reads them once. Callers must [`check_count`] once up front.
 #[inline]
-pub(crate) fn validate_one(i: usize, m: &Message, n: usize) -> Result<(), crate::NocError> {
-    if m.id.index() != i {
+pub(crate) fn validate_one<D: TransferDag + ?Sized>(
+    dag: &D,
+    i: usize,
+) -> Result<(NodeId, NodeId), crate::NocError> {
+    let id = dag.id(i);
+    if id != i {
         return Err(crate::NocError::NonDenseIds {
-            msg: m.id.index(),
+            msg: id,
             expected: i,
         });
     }
-    if m.bytes == 0 {
+    if dag.bytes(i) == 0 {
         return Err(crate::NocError::EmptyMessage { msg: i });
     }
-    if m.src == m.dst {
+    let (src, dst) = (dag.src(i), dag.dst(i));
+    if src == dst {
         return Err(crate::NocError::SelfMessage { msg: i });
     }
-    for d in &m.deps {
-        if d.index() >= n {
-            return Err(crate::NocError::UnknownDependency {
-                msg: i,
-                dep: d.index(),
-            });
-        }
+    let n = dag.len();
+    if let Some(dep) = dag.deps(i).find(|&d| d >= n) {
+        return Err(crate::NocError::UnknownDependency { msg: i, dep });
     }
-    Ok(())
+    Ok((src, dst))
 }
 
 #[cfg(test)]

@@ -34,6 +34,7 @@
 
 use meshcoll_topo::{FaultEvent, FaultModel, FaultTimeline, LinkId, Mesh};
 
+use crate::message::MessageDag;
 use crate::time::{ns_to_ps, ps_to_ns};
 use crate::trace::{TraceEvent, TraceSink};
 use crate::{LinkStats, Message, MsgId, NocError, PacketSim, SimOutcome};
@@ -101,6 +102,22 @@ pub struct OnlineReport {
     /// finished before the deaths, or the deaths missed every route);
     /// otherwise the drained snapshot for the repair layer.
     pub interruption: Option<DrainSnapshot>,
+}
+
+impl OnlineReport {
+    /// The outcome of a run that completed; an interrupted run becomes the
+    /// stall error a completion-only caller (one that cannot repair)
+    /// reports ([`DrainSnapshot::into_stall_error`]).
+    ///
+    /// # Errors
+    ///
+    /// [`NocError::Stalled`] when a timed fault interrupted the run.
+    pub fn into_outcome(self) -> Result<SimOutcome, NocError> {
+        match self.interruption {
+            None => Ok(self.outcome),
+            Some(snap) => Err(snap.into_stall_error()),
+        }
+    }
 }
 
 /// Drain bookkeeping of one per-packet run under a timeline: bytes each
@@ -188,7 +205,9 @@ impl PacketSim {
     /// Simulates the message DAG under the configured
     /// [`FaultTimeline`](meshcoll_topo::FaultTimeline), draining instead of
     /// stalling when a timed fault interrupts the run. See the
-    /// [module docs](crate::online) for the semantics.
+    /// [module docs](crate::online) for the semantics, and
+    /// [`PacketSim::simulate_dag`] for the same run over any
+    /// [`TransferDag`](meshcoll_topo::TransferDag).
     ///
     /// # Errors
     ///
@@ -204,19 +223,33 @@ impl PacketSim {
         messages: &[Message],
         sink: &mut T,
     ) -> Result<OnlineReport, NocError> {
-        let setup = self.prepare(mesh, messages)?;
-        let death = if self.cfg.timeline.is_empty() {
-            None
-        } else {
-            self.cfg.timeline.validate(mesh)?;
-            Some(link_death_times(mesh, &self.cfg.timeline))
-        };
-        let (outcome, tally) = self.run_prepared(mesh, messages, &setup, death.as_deref(), sink)?;
+        self.simulate_dag(mesh, &MessageDag(messages), sink)
+    }
+
+    /// Each link's death time in ps under the configured timeline, or
+    /// `None` for a static run (an empty timeline).
+    pub(crate) fn death_times(&self, mesh: &Mesh) -> Result<Option<Vec<u64>>, NocError> {
+        if self.cfg.timeline.is_empty() {
+            return Ok(None);
+        }
+        self.cfg.timeline.validate(mesh)?;
+        Ok(Some(link_death_times(mesh, &self.cfg.timeline)))
+    }
+
+    /// Wraps a finished run as a report: uninterrupted runs as they are,
+    /// an interrupted one with the drained snapshot (fault arrivals and the
+    /// drain traced into `sink`).
+    pub(crate) fn drain_report<T: TraceSink>(
+        &self,
+        outcome: SimOutcome,
+        tally: DrainTally,
+        sink: &mut T,
+    ) -> OnlineReport {
         if !tally.interrupted {
-            return Ok(OnlineReport {
+            return OnlineReport {
                 outcome,
                 interruption: None,
-            });
+            };
         }
 
         let drain_ns = ps_to_ns(tally.end_ps);
@@ -270,10 +303,10 @@ impl PacketSim {
             first_lost_msg,
             first_dead_link: tally.first_drop.map(|(_, _, l)| l),
         };
-        Ok(OnlineReport {
+        OnlineReport {
             outcome,
             interruption: Some(snapshot),
-        })
+        }
     }
 }
 

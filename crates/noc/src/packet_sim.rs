@@ -1,7 +1,9 @@
 //! Event-driven packet-level network simulator (primary engine).
 //!
-//! Each [`Message`](crate::Message) is split into maximum-size packets that
-//! traverse the XY route hop by hop under virtual cut-through switching:
+//! Each transfer of the DAG — a [`Message`](crate::Message), or any
+//! [`TransferDag`] entry read in place — is split into maximum-size packets
+//! that traverse the XY route hop by hop under virtual cut-through
+//! switching:
 //!
 //! * a packet occupies each directed link for its serialization time
 //!   (`bytes / bandwidth`); contending packets queue FIFO in arrival order,
@@ -61,11 +63,11 @@ use std::collections::BinaryHeap;
 use std::ops::Range;
 use std::sync::{Arc, Mutex};
 
-use meshcoll_topo::{LinkId, Mesh, RouteCache};
+use meshcoll_topo::{LinkId, Mesh, RouteCache, TransferDag};
 
 use crate::coalesce::{self, Attempt, WorkScratch};
-use crate::message::validate_one;
-use crate::online::DrainTally;
+use crate::message::{validate_one, MessageDag};
+use crate::online::{DrainTally, OnlineReport};
 use crate::time::{link_carries, ns_to_ps, ps_to_ns, rank, LinkTiming, DELIVER, HOP, INJECT};
 use crate::trace::{MemorySink, NullSink, TraceEvent, TraceSink};
 use crate::{LinkStats, Message, MsgId, NetworkSim, NocConfig, NocError, SimOutcome};
@@ -314,26 +316,42 @@ impl PacketSim {
         messages: &[Message],
         sink: &mut T,
     ) -> Result<SimOutcome, NocError> {
-        if !self.cfg.timeline.is_empty() {
-            // A run interrupted by a timed fault has undeliverable messages,
-            // which this completion-only entry point reports as a
-            // (first-blocked-enriched) stall; use `simulate_online` to drain
-            // and repair instead.
-            let report = self.simulate_online(mesh, messages, sink)?;
-            return match report.interruption {
-                None => Ok(report.outcome),
-                Some(snap) => Err(snap.into_stall_error()),
-            };
-        }
+        self.simulate_dag(mesh, &MessageDag(messages), sink)?
+            .into_outcome()
+    }
+
+    /// Simulates any [`TransferDag`] in place — a message slice, a
+    /// collective schedule, several schedules laid end to end — tracing
+    /// into `sink`. This is the one entry point behind every static and
+    /// timeline run: [`simulate`](PacketSim::simulate),
+    /// [`simulate_traced`](PacketSim::simulate_traced) and
+    /// [`simulate_online`](PacketSim::simulate_online) wrap it for message
+    /// slices.
+    ///
+    /// Without a [`FaultTimeline`](meshcoll_topo::FaultTimeline) the report
+    /// is never interrupted. Under one, a timed fault that interrupts the
+    /// run drains it instead of stalling, as described in the
+    /// [online module docs](crate::online); [`OnlineReport::into_outcome`]
+    /// turns such an interruption into the stall error a completion-only
+    /// caller reports.
+    ///
+    /// # Errors
+    ///
+    /// As for [`PacketSim::simulate_online`].
+    pub fn simulate_dag<D: TransferDag + ?Sized, T: TraceSink>(
+        &self,
+        mesh: &Mesh,
+        dag: &D,
+        sink: &mut T,
+    ) -> Result<OnlineReport, NocError> {
         let mut rs = self.pools.take_run();
-        let result = match self.prepare_into(mesh, messages, &mut rs) {
-            Ok(()) => self
-                .run_prepared(mesh, messages, &rs.setup, None, sink)
-                .map(|(outcome, _)| outcome),
-            Err(e) => Err(e),
-        };
+        let run = self.prepare_into(mesh, dag, &mut rs).and_then(|()| {
+            let death = self.death_times(mesh)?;
+            self.run_prepared(mesh, dag, &rs.setup, death.as_deref(), sink)
+        });
         self.pools.put_run(rs);
-        result
+        let (outcome, tally) = run?;
+        Ok(self.drain_report(outcome, tally, sink))
     }
 
     /// One run over a prepared DAG, static (`death` = `None`) or under the
@@ -346,20 +364,20 @@ impl PacketSim {
     /// always the reference engine's. A kept fast-path run is never
     /// interrupted, so it carries an empty drain tally. `death` holds each
     /// link's death time in ps (`u64::MAX` for links that never die).
-    pub(crate) fn run_prepared<T: TraceSink>(
+    fn run_prepared<D: TransferDag + ?Sized, T: TraceSink>(
         &self,
         mesh: &Mesh,
-        messages: &[Message],
+        dag: &D,
         setup: &RunSetup,
         death: Option<&[u64]>,
         sink: &mut T,
     ) -> Result<(SimOutcome, DrainTally), NocError> {
-        let (mut completion, mut stats) = self.outcome_buffers(mesh, messages.len());
+        let (mut completion, mut stats) = self.outcome_buffers(mesh, dag.len());
         if self.mode == SimMode::Auto && self.cfg.faults.flaps().is_empty() {
             let bound = death.map(|d| earliest_death(setup, d));
             let kept = self.run_fast(
                 mesh,
-                messages,
+                dag,
                 setup,
                 bound,
                 &mut completion,
@@ -372,7 +390,7 @@ impl PacketSim {
         }
         let run = self.run_per_packet_into(
             mesh,
-            messages,
+            dag,
             setup,
             death,
             &mut completion,
@@ -395,10 +413,10 @@ impl PacketSim {
     /// events only when it is kept; a declined pass leaves partial results
     /// in the buffers.
     #[allow(clippy::too_many_arguments)]
-    fn run_fast<T: TraceSink>(
+    fn run_fast<D: TransferDag + ?Sized, T: TraceSink>(
         &self,
         mesh: &Mesh,
-        messages: &[Message],
+        dag: &D,
         setup: &RunSetup,
         bound: Option<u64>,
         completion: &mut [f64],
@@ -409,12 +427,10 @@ impl PacketSim {
         let mut buf = MemorySink::new();
         let attempt = if T::ENABLED {
             coalesce::run(
-                &self.cfg, mesh, messages, setup, &mut ws, completion, busy, &mut buf,
+                &self.cfg, mesh, dag, setup, &mut ws, completion, busy, &mut buf,
             )
         } else {
-            coalesce::run(
-                &self.cfg, mesh, messages, setup, &mut ws, completion, busy, sink,
-            )
+            coalesce::run(&self.cfg, mesh, dag, setup, &mut ws, completion, busy, sink)
         };
         self.pools.put_work(ws);
         let kept = match attempt? {
@@ -461,19 +477,24 @@ impl PacketSim {
         messages: &[Message],
         sink: &mut T,
     ) -> Result<SimOutcome, NocError> {
-        let setup = self.prepare(mesh, messages)?;
-        let mut completion = vec![f64::NAN; messages.len()];
-        let mut stats = LinkStats::new(mesh, &self.cfg.faults);
-        self.run_per_packet_into(
-            mesh,
-            messages,
-            &setup,
-            None,
-            &mut completion,
-            stats.busy_mut(),
-            sink,
-        )?;
-        Ok(SimOutcome::new(completion, stats))
+        let dag = MessageDag(messages);
+        let mut rs = self.pools.take_run();
+        let result = self.prepare_into(mesh, &dag, &mut rs).and_then(|()| {
+            let mut completion = vec![f64::NAN; messages.len()];
+            let mut stats = LinkStats::new(mesh, &self.cfg.faults);
+            self.run_per_packet_into(
+                mesh,
+                &dag,
+                &rs.setup,
+                None,
+                &mut completion,
+                stats.busy_mut(),
+                sink,
+            )?;
+            Ok(SimOutcome::new(completion, stats))
+        });
+        self.pools.put_run(rs);
+        result
     }
 
     /// Attempts only the coalescing fast path on the whole DAG, returning
@@ -504,15 +525,16 @@ impl PacketSim {
         messages: &[Message],
         sink: &mut T,
     ) -> Result<Option<SimOutcome>, NocError> {
+        let dag = MessageDag(messages);
         let mut rs = self.pools.take_run();
-        let result = self.prepare_into(mesh, messages, &mut rs).and_then(|()| {
+        let result = self.prepare_into(mesh, &dag, &mut rs).and_then(|()| {
             if !self.cfg.faults.flaps().is_empty() {
                 return Ok(None);
             }
             let (mut completion, mut stats) = self.outcome_buffers(mesh, messages.len());
             let kept = self.run_fast(
                 mesh,
-                messages,
+                &dag,
                 &rs.setup,
                 None,
                 &mut completion,
@@ -533,23 +555,15 @@ impl PacketSim {
     /// flags messages that can never deliver because their route crosses a
     /// permanently dead link (or dead chiplet, or a link too slow to carry a
     /// packet) — rather than waiting forever the engines report those as
-    /// stalled. Allocating variant for the
-    /// online engine and one-shot probes; the steady-state path uses
-    /// `prepare_into` with pooled scratch.
-    pub(crate) fn prepare(&self, mesh: &Mesh, messages: &[Message]) -> Result<RunSetup, NocError> {
-        let mut rs = RunScratch::default();
-        self.prepare_into(mesh, messages, &mut rs)?;
-        Ok(rs.setup)
-    }
-    /// `prepare` into reusable scratch. The dense per-pair memo keeps the
+    /// stalled — all into pooled scratch. The dense per-pair memo keeps the
     /// shared cache's lock+hash cost off the per-message path, the blocked
     /// flag is computed once per unique route, and DAG validation is folded
     /// into the same pass (per message: dense-id/payload/endpoint/dep
     /// checks first, then node-range checks — one sweep instead of two).
-    fn prepare_into(
+    fn prepare_into<D: TransferDag + ?Sized>(
         &self,
         mesh: &Mesh,
-        messages: &[Message],
+        dag: &D,
         rs: &mut RunScratch,
     ) -> Result<(), NocError> {
         let RunScratch {
@@ -559,25 +573,26 @@ impl PacketSim {
             unique_blocked,
             ..
         } = rs;
-        crate::message::check_count(messages.len())?;
+        let n = dag.len();
+        crate::message::check_count(n)?;
         setup.unique.clear();
         setup.route_of.clear();
-        setup.route_of.reserve(messages.len());
+        setup.route_of.reserve(n);
         setup.blocked.clear();
-        setup.blocked.reserve(messages.len());
+        setup.blocked.reserve(n);
         unique_blocked.clear();
         let nn = mesh.rows() * mesh.cols();
         if nn <= 256 {
             memo.clear();
             memo.resize(nn * nn, u32::MAX);
-            for (i, m) in messages.iter().enumerate() {
-                validate_one(i, m, messages.len())?;
-                mesh.check_node(m.src)?;
-                mesh.check_node(m.dst)?;
-                let slot = m.src.index() * nn + m.dst.index();
+            for i in 0..n {
+                let (src, dst) = validate_one(dag, i)?;
+                mesh.check_node(src)?;
+                mesh.check_node(dst)?;
+                let slot = src.index() * nn + dst.index();
                 let mut u = memo[slot];
                 if u == u32::MAX {
-                    let r = self.routes.route(mesh, m.src, m.dst, self.cfg.routing)?;
+                    let r = self.routes.route(mesh, src, dst, self.cfg.routing)?;
                     u = setup.unique.len() as u32;
                     unique_blocked.push(r.iter().any(|&l| !link_carries(&self.cfg, mesh, l)));
                     setup.unique.push(r);
@@ -592,15 +607,15 @@ impl PacketSim {
             // hash map sized by the pairs the DAG actually touches. Route
             // storage stays O(pairs), exactly as on small meshes.
             pair_memo.clear();
-            for (i, m) in messages.iter().enumerate() {
-                validate_one(i, m, messages.len())?;
-                mesh.check_node(m.src)?;
-                mesh.check_node(m.dst)?;
-                let key = m.src.index() as u64 * nn as u64 + m.dst.index() as u64;
+            for i in 0..n {
+                let (src, dst) = validate_one(dag, i)?;
+                mesh.check_node(src)?;
+                mesh.check_node(dst)?;
+                let key = src.index() as u64 * nn as u64 + dst.index() as u64;
                 let u = match pair_memo.entry(key) {
                     std::collections::hash_map::Entry::Occupied(e) => *e.get(),
                     std::collections::hash_map::Entry::Vacant(e) => {
-                        let r = self.routes.route(mesh, m.src, m.dst, self.cfg.routing)?;
+                        let r = self.routes.route(mesh, src, dst, self.cfg.routing)?;
                         let u = setup.unique.len() as u32;
                         unique_blocked.push(r.iter().any(|&l| !link_carries(&self.cfg, mesh, l)));
                         setup.unique.push(r);
@@ -631,10 +646,10 @@ impl PacketSim {
     /// [`PacketLoop::serve`]. Events pop in tie-order key order, exactly as
     /// they would if every packet-hop and delivery were its own event.
     #[allow(clippy::too_many_arguments)]
-    fn run_per_packet_into<T: TraceSink>(
+    fn run_per_packet_into<D: TransferDag + ?Sized, T: TraceSink>(
         &self,
         mesh: &Mesh,
-        messages: &[Message],
+        dag: &D,
         setup: &RunSetup,
         death: Option<&[u64]>,
         completion: &mut [f64],
@@ -647,24 +662,24 @@ impl PacketSim {
         // `stalled_at_ns` a trip reports. 16 is a small margin that every
         // recorded `Stalled` value was produced with.
         const STALL_BUDGET_SLACK: u64 = 16;
-        let n = messages.len();
+        let n = dag.len();
         let blocked = &setup.blocked;
         let faults = &self.cfg.faults;
         completion.fill(f64::NAN);
 
         // Per-message state, plus each message's dependents in one CSR slab
         // (each list in message order).
-        let mut msgs: Vec<MsgRun> = messages
-            .iter()
-            .map(|m| {
-                let count = self.cfg.packets_for(m.bytes);
+        let mut msgs: Vec<MsgRun> = (0..n)
+            .map(|i| {
+                let bytes = dag.bytes(i);
+                let count = self.cfg.packets_for(bytes);
                 MsgRun {
                     count,
-                    last_bytes: last_packet_bytes(&self.cfg, m.bytes, count),
+                    last_bytes: last_packet_bytes(&self.cfg, bytes, count),
                     left: count,
-                    earliest: ns_to_ps(m.ready_at_ns),
+                    earliest: ns_to_ps(dag.ready_at_ns(i)),
                     age: 0,
-                    pending: m.deps.len() as u32,
+                    pending: dag.deps(i).len() as u32,
                     dep_start: 0,
                     dep_end: 0,
                 }
@@ -672,9 +687,9 @@ impl PacketSim {
             .collect();
         // `dep_end` first counts each message's dependents, then serves as
         // the cursor that fills its list.
-        for m in messages {
-            for d in &m.deps {
-                msgs[d.index()].dep_end += 1;
+        for i in 0..n {
+            for d in dag.deps(i) {
+                msgs[d].dep_end += 1;
             }
         }
         let mut offset = 0;
@@ -685,9 +700,9 @@ impl PacketSim {
             offset += count;
         }
         let mut dependents = vec![0u32; offset as usize];
-        for (i, m) in messages.iter().enumerate() {
-            for d in &m.deps {
-                let r = &mut msgs[d.index()];
+        for i in 0..n {
+            for d in dag.deps(i) {
+                let r = &mut msgs[d];
                 dependents[r.dep_end as usize] = i as u32;
                 r.dep_end += 1;
             }
@@ -706,7 +721,7 @@ impl PacketSim {
         timing.reset(&self.cfg, mesh);
         let mut st = PacketLoop {
             cfg: &self.cfg,
-            messages,
+            dag,
             setup,
             death,
             flaps: !faults.flaps().is_empty(),
@@ -734,11 +749,11 @@ impl PacketSim {
             death.is_some_and(|d| setup.route(i).iter().any(|&l| d[l.index()] <= at))
         };
 
-        for (i, m) in messages.iter().enumerate() {
-            if m.deps.is_empty() {
+        for (i, &is_blocked) in blocked.iter().enumerate() {
+            if st.msgs[i].pending == 0 {
                 injected += 1;
                 let at = st.msgs[i].earliest;
-                if blocked[i] {
+                if is_blocked {
                     stalled += 1;
                 } else if dies(i, at) {
                     st.tally.withhold(at);
@@ -789,8 +804,8 @@ impl PacketSim {
             last_progress = last_progress.max(ev.at);
             if T::ENABLED {
                 sink.record(TraceEvent::Deliver {
-                    msg: messages[mi].id,
-                    bytes: messages[mi].bytes,
+                    msg: MsgId(mi),
+                    bytes: dag.bytes(mi),
                     at_ns: done_ns,
                 });
             }
@@ -905,9 +920,9 @@ struct MsgRun {
 
 /// The state of one per-packet run that injecting and serving packets
 /// share (see [`PacketSim::run_per_packet_into`]). Every time is in ps.
-struct PacketLoop<'a> {
+struct PacketLoop<'a, D: ?Sized> {
     cfg: &'a NocConfig,
-    messages: &'a [Message],
+    dag: &'a D,
     setup: &'a RunSetup,
     death: Option<&'a [u64]>,
     /// Whether any transient flap is configured (else `available_at` is the
@@ -926,7 +941,7 @@ struct PacketLoop<'a> {
     tally: DrainTally,
 }
 
-impl PacketLoop<'_> {
+impl<D: TransferDag + ?Sized> PacketLoop<'_, D> {
     /// Injects message `mi` at `at` as one burst event, keyed by the age of
     /// the delivery that released it at `at` (`released_by`, 0 if none). As
     /// separate hop-0 events its packets would carry consecutive keys (same
@@ -935,12 +950,11 @@ impl PacketLoop<'_> {
     /// burst serves them.
     fn inject<T: TraceSink>(&mut self, sink: &mut T, mi: usize, at: u64, released_by: u32) {
         if T::ENABLED {
-            let m = &self.messages[mi];
             sink.record(TraceEvent::Inject {
-                msg: m.id,
-                src: m.src,
-                dst: m.dst,
-                bytes: m.bytes,
+                msg: MsgId(mi),
+                src: self.dag.src(mi),
+                dst: self.dag.dst(mi),
+                bytes: self.dag.bytes(mi),
                 packets: self.msgs[mi].count,
                 at_ns: ps_to_ns(at),
             });
@@ -1018,11 +1032,10 @@ impl PacketLoop<'_> {
                 // The link died before this packet could win it; the
                 // packet is lost where it stands.
                 let at = at.max(d);
-                self.tally
-                    .drop_packet(at, self.messages[mi].id, link, bytes);
+                self.tally.drop_packet(at, MsgId(mi), link, bytes);
                 if T::ENABLED {
                     sink.record(TraceEvent::PacketDrop {
-                        msg: self.messages[mi].id,
+                        msg: MsgId(mi),
                         packet,
                         hop,
                         link,
@@ -1042,7 +1055,7 @@ impl PacketLoop<'_> {
             }
             if T::ENABLED {
                 sink.record(TraceEvent::PacketHop {
-                    msg: self.messages[mi].id,
+                    msg: MsgId(mi),
                     packet,
                     hop,
                     link,

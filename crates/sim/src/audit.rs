@@ -39,11 +39,10 @@ use std::fmt;
 use meshcoll_collectives::verify::{self, VerifyError};
 use meshcoll_collectives::{OpKind, Schedule};
 use meshcoll_noc::{
-    InvariantAuditor, MemorySink, MsgId, SimOutcome, TraceEvent, TraceSink, Violation,
+    InvariantAuditor, MemorySink, MsgId, SimMode, SimOutcome, TraceEvent, TraceSink, Violation,
 };
 use meshcoll_topo::{LinkId, Mesh};
 
-use crate::engine::schedule_messages;
 use crate::{RunResult, SimEngine, SimError};
 
 /// Per-run options for [`SimEngine::run_with`].
@@ -87,7 +86,7 @@ pub enum AuditViolation {
     /// A schedule dependency was not honored by the engine: the dependent
     /// op injected before its dependency delivered.
     DependencyViolated {
-        /// The dependent op (message id in the lowered DAG).
+        /// The dependent op (its id is its message id in the run).
         op: u32,
         /// The dependency that should have completed first.
         dep: u32,
@@ -280,15 +279,16 @@ impl SimEngine {
     /// all (e.g. it routes over a dead link); violations of invariants are
     /// reported, not errors.
     pub fn audit(&self, mesh: &Mesh, schedule: &Schedule) -> Result<AuditReport, SimError> {
-        let (messages, _) = schedule_messages(&[(schedule, 0.0)]);
+        let parts = [(schedule, 0.0)];
         let auditor = InvariantAuditor::new();
         let mut report = AuditReport::default();
 
         // Exact per-packet reference: conservation, causality, exclusivity.
         let mut reference = MemorySink::new();
         let reference_outcome =
-            self.packet_sim()
-                .run_reference_traced(mesh, &messages, &mut reference)?;
+            self.clone()
+                .with_mode(SimMode::PerPacket)
+                .simulate(mesh, &parts, &mut reference)?;
         let trace = auditor.check_trace(reference.events());
         report.checks += trace.checks;
         report
@@ -301,9 +301,7 @@ impl SimEngine {
         // no trains means the whole DAG ran per-packet and there is nothing
         // to cross-check.
         let mut fast = MemorySink::new();
-        let auto_outcome = self
-            .packet_sim()
-            .simulate_traced(mesh, &messages, &mut fast)?;
+        let auto_outcome = self.simulate(mesh, &parts, &mut fast)?;
         // Engine identity: kept or declined, Auto's outcome is the
         // reference's, bit for bit.
         let (auto_values, reference_values) = (
@@ -328,8 +326,8 @@ impl SimEngine {
         report.events = reference.events().len() + fast.events().len();
 
         // Schedule conformance: dependencies honored in the reference run.
-        let mut inject = vec![f64::NAN; messages.len()];
-        let mut deliver = vec![f64::NAN; messages.len()];
+        let mut inject = vec![f64::NAN; schedule.len()];
+        let mut deliver = vec![f64::NAN; schedule.len()];
         for ev in reference.events() {
             match *ev {
                 TraceEvent::Inject { msg, at_ns, .. } => inject[msg.index()] = at_ns,
@@ -337,17 +335,17 @@ impl SimEngine {
                 _ => {}
             }
         }
-        for m in &messages {
-            for d in &m.deps {
+        for id in schedule.op_ids() {
+            for d in schedule.deps(id) {
                 report.checks += 1;
-                let (at, dep_done) = (inject[m.id.index()], deliver[d.index()]);
+                let (at, dep_done) = (inject[id.index()], deliver[d.index()]);
                 // NaN (a message that never injected/delivered) fails too,
                 // which `at < dep_done - tol` would silently pass.
                 #[allow(clippy::neg_cmp_op_on_partial_ord)]
                 if !(at >= dep_done - auditor.tolerance_ns) {
                     report.violations.push(AuditViolation::DependencyViolated {
-                        op: m.id.index() as u32,
-                        dep: d.index() as u32,
+                        op: id.0,
+                        dep: d.0,
                         inject_ns: at,
                         dep_deliver_ns: dep_done,
                     });
@@ -400,8 +398,7 @@ impl SimEngine {
         schedule: &Schedule,
         sink: &mut T,
     ) -> Result<RunResult, SimError> {
-        let (messages, _) = schedule_messages(&[(schedule, 0.0)]);
-        let outcome = self.packet_sim().simulate_traced(mesh, &messages, sink)?;
+        let outcome = self.simulate(mesh, &[(schedule, 0.0)], sink)?;
         if T::ENABLED {
             for id in schedule.op_ids() {
                 let op = schedule.op(id);
@@ -523,10 +520,14 @@ mod tests {
     fn engine_identity_flags_a_one_ulp_difference() {
         let mesh = Mesh::square(3).unwrap();
         let s = Algorithm::Tto.schedule(&mesh, 1 << 16).unwrap();
-        let (messages, _) = schedule_messages(&[(&s, 0.0)]);
-        let sim = SimEngine::paper_default().packet_sim().clone();
-        let reference = OutcomeValues::of(&mesh, &sim.run_reference(&mesh, &messages).unwrap());
-        let auto = OutcomeValues::of(&mesh, &sim.simulate(&mesh, &messages).unwrap());
+        let run = |mode| {
+            let e = SimEngine::paper_default().with_mode(mode);
+            OutcomeValues::of(
+                &mesh,
+                &e.simulate(&mesh, &[(&s, 0.0)], &mut NullSink).unwrap(),
+            )
+        };
+        let (reference, auto) = (run(SimMode::PerPacket), run(SimMode::Auto));
         assert_eq!(OutcomeValues::mismatch(&auto, &reference), None);
         let ulp = |x: f64| f64::from_bits(x.to_bits() + 1);
 

@@ -1,12 +1,8 @@
 //! Schedule → network-simulation bridge.
 
-use std::sync::{Arc, Mutex};
-
-use meshcoll_collectives::{
-    fault, Algorithm, CollectiveError, OpId, OpKind, OpSink, Schedule, ScheduleOptions,
-};
-use meshcoll_noc::{Message, MsgId, NocConfig, PacketSim, SimMode, SimOutcome};
-use meshcoll_topo::{Mesh, NodeId};
+use meshcoll_collectives::{fault, Algorithm, CollectiveError, Schedule, ScheduleOptions};
+use meshcoll_noc::{NocConfig, NullSink, PacketSim, SimMode, SimOutcome, TraceSink};
+use meshcoll_topo::{Mesh, NodeId, TransferDag};
 
 use crate::{SimContext, SimError};
 
@@ -19,15 +15,82 @@ use crate::{SimContext, SimError};
 /// The engine owns one [`PacketSim`] constructed up front (no per-run
 /// configuration cloning) and is usable from several threads at once —
 /// [`SweepRunner`](crate::SweepRunner) fans sweep points across a shared
-/// engine. Lowered message buffers and simulation outcomes are pooled
-/// across runs (clones share the pool), so steady-state sweeps reuse their
-/// allocations instead of rebuilding ~10^5-entry DAG buffers per point.
+/// engine. The packet engine reads each schedule in place (a [`Schedule`]
+/// is a [`TransferDag`]), so a run copies nothing out of it, and its
+/// scratch and outcome buffers are pooled across runs (clones share the
+/// pool): after a warmup run, [`SimEngine::run`] allocates nothing.
 #[derive(Debug, Clone)]
 pub struct SimEngine {
     sim: PacketSim,
-    /// Recycled schedule-lowering buffers; one per concurrently running
-    /// thread at the high-water mark.
-    lowered: Arc<Mutex<Vec<Vec<Message>>>>,
+}
+
+/// Schedules laid end to end as one transfer DAG, read in place: each
+/// part's ops follow every earlier part's (their ids, and so their
+/// dependency ids, are offset by the ops before them) and become ready at
+/// the part's own time. Phased runs and `run_online`'s resumed segments
+/// simulate through it.
+pub(crate) struct PhasedDag<'a> {
+    parts: &'a [(&'a Schedule, f64)],
+    /// Each part's end in the joint id space.
+    ends: Vec<usize>,
+}
+
+impl<'a> PhasedDag<'a> {
+    pub(crate) fn new(parts: &'a [(&'a Schedule, f64)]) -> Self {
+        let ends = parts
+            .iter()
+            .scan(0, |end, (s, _)| {
+                *end += s.len();
+                Some(*end)
+            })
+            .collect();
+        PhasedDag { parts, ends }
+    }
+
+    /// The schedule holding joint id `i`, its ready time, and its id offset.
+    #[inline]
+    fn locate(&self, i: usize) -> (&'a Schedule, f64, usize) {
+        let p = self.ends.partition_point(|&end| end <= i);
+        let base = if p == 0 { 0 } else { self.ends[p - 1] };
+        let (schedule, ready_at) = self.parts[p];
+        (schedule, ready_at, base)
+    }
+}
+
+impl TransferDag for PhasedDag<'_> {
+    #[inline]
+    fn len(&self) -> usize {
+        self.ends.last().copied().unwrap_or(0)
+    }
+
+    #[inline]
+    fn src(&self, i: usize) -> NodeId {
+        let (s, _, base) = self.locate(i);
+        s.src(i - base)
+    }
+
+    #[inline]
+    fn dst(&self, i: usize) -> NodeId {
+        let (s, _, base) = self.locate(i);
+        s.dst(i - base)
+    }
+
+    #[inline]
+    fn bytes(&self, i: usize) -> u64 {
+        let (s, _, base) = self.locate(i);
+        s.bytes(i - base)
+    }
+
+    #[inline]
+    fn ready_at_ns(&self, i: usize) -> f64 {
+        self.locate(i).1
+    }
+
+    #[inline]
+    fn deps(&self, i: usize) -> impl ExactSizeIterator<Item = usize> + '_ {
+        let (s, _, base) = self.locate(i);
+        TransferDag::deps(s, i - base).map(move |d| base + d)
+    }
 }
 
 /// The timing result of one schedule execution.
@@ -177,7 +240,6 @@ impl SimEngine {
     pub fn new(noc: NocConfig) -> Self {
         SimEngine {
             sim: PacketSim::new(noc),
-            lowered: Arc::new(Mutex::new(Vec::new())),
         }
     }
 
@@ -187,7 +249,6 @@ impl SimEngine {
     pub fn with_context(noc: NocConfig, ctx: &SimContext) -> Self {
         SimEngine {
             sim: PacketSim::new(noc).with_route_cache(ctx.route_cache().clone()),
-            lowered: Arc::new(Mutex::new(Vec::new())),
         }
     }
 
@@ -214,36 +275,45 @@ impl SimEngine {
 
     /// Bytes currently retained by this engine's reusable pools: the
     /// underlying packet engine's scratch (high-water capacities that
-    /// persist across runs) plus the recycled schedule-lowering message
-    /// buffers. Stays `O(messages)` of the largest schedule simulated so
-    /// far; the scalability smoke test pins that down.
+    /// persist across runs). Stays `O(messages)` of the largest schedule
+    /// simulated so far; the scalability smoke test pins that down.
     pub fn retained_scratch_bytes(&self) -> usize {
-        let lowered: usize = self
-            .lowered
-            .lock()
-            .expect("message pool poisoned")
-            .iter()
-            .map(|buf| {
-                buf.capacity() * std::mem::size_of::<Message>()
-                    + buf
-                        .iter()
-                        .map(|m| m.deps.capacity() * std::mem::size_of::<MsgId>())
-                        .sum::<usize>()
-            })
-            .sum();
-        self.sim.retained_scratch_bytes() + lowered
+        self.sim.retained_scratch_bytes()
     }
 
-    /// Times one schedule.
+    /// Times one schedule, simulating it in place.
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::Network`] if the schedule produces an invalid
-    /// message DAG (cannot happen for schedules built by this workspace's
+    /// Returns [`SimError::Network`] if the schedule is an invalid message
+    /// DAG (cannot happen for schedules built by this workspace's
     /// algorithms; defensive).
     pub fn run(&self, mesh: &Mesh, schedule: &Schedule) -> Result<RunResult, SimError> {
-        self.run_phased(mesh, &[(schedule, 0.0)])
-            .map(|(result, _)| result)
+        let outcome = self.simulate(mesh, &[(schedule, 0.0)], &mut NullSink)?;
+        let run = RunResult::of(&outcome, outcome.makespan_ns());
+        self.sim.recycle(outcome);
+        Ok(run)
+    }
+
+    /// Simulates schedules laid end to end ([`PhasedDag`]) on the packet
+    /// engine in place, tracing into `sink`. A lone schedule ready at 0 —
+    /// almost every run — is read directly as its own [`TransferDag`],
+    /// without the per-access part lookup. An interruption by the
+    /// configured fault timeline is the stall error a completion-only run
+    /// reports; `run_online` drains and repairs instead.
+    pub(crate) fn simulate<T: TraceSink>(
+        &self,
+        mesh: &Mesh,
+        parts: &[(&Schedule, f64)],
+        sink: &mut T,
+    ) -> Result<SimOutcome, SimError> {
+        let report = match parts {
+            [(schedule, ready_at)] if *ready_at == 0.0 => {
+                self.sim.simulate_dag(mesh, *schedule, sink)?
+            }
+            _ => self.sim.simulate_dag(mesh, &PhasedDag::new(parts), sink)?,
+        };
+        Ok(report.into_outcome()?)
     }
 
     /// Times `algorithm` under the faults configured in this engine's
@@ -310,14 +380,12 @@ impl SimEngine {
         }
     }
 
-    /// Times `algorithm` without ever materializing its [`Schedule`]: ops
-    /// stream from the generator straight into the pooled message buffer
-    /// (one message per op, written in place), so peak retained memory is a
-    /// single O(messages) buffer instead of schedule + deps arena +
-    /// messages. This is the intended entry point for 1,000+ chiplet
-    /// fabrics; results are bit-identical to
-    /// [`SimEngine::run`] on the materialized schedule (the generators are
-    /// shared — see [`meshcoll_collectives::stream`]).
+    /// Generates `algorithm`'s schedule and times it: exactly
+    /// [`Algorithm::schedule_with`] followed by [`SimEngine::run`], so the
+    /// result is bit-identical to a run of the materialized schedule. Peak
+    /// memory is the schedule (ops plus its dependency arena) and the
+    /// engine's O(messages) scratch; the engine reads the schedule in place
+    /// rather than copying it into a message list.
     ///
     /// # Errors
     ///
@@ -331,40 +399,8 @@ impl SimEngine {
         data_bytes: u64,
         opts: &ScheduleOptions,
     ) -> Result<RunResult, SimError> {
-        let mut messages = self
-            .lowered
-            .lock()
-            .expect("message pool poisoned")
-            .pop()
-            .unwrap_or_default();
-        let emitted = {
-            let mut sink = MessageSink {
-                messages: &mut messages,
-                idx: 0,
-            };
-            algorithm
-                .emit_with(mesh, data_bytes, opts, &mut sink)
-                .map(|()| sink.idx)
-        };
-        let result = match emitted {
-            Ok(count) => {
-                messages.truncate(count);
-                self.sim
-                    .simulate(mesh, &messages)
-                    .map(|outcome| {
-                        let run = RunResult::of(&outcome, outcome.makespan_ns());
-                        self.sim.recycle(outcome);
-                        run
-                    })
-                    .map_err(SimError::from)
-            }
-            Err(e) => Err(e.into()),
-        };
-        self.lowered
-            .lock()
-            .expect("message pool poisoned")
-            .push(messages);
-        result
+        let schedule = algorithm.schedule_with(mesh, data_bytes, opts)?;
+        self.run(mesh, &schedule)
     }
 
     /// Times several schedules sharing the network, each with its own
@@ -381,32 +417,22 @@ impl SimEngine {
         mesh: &Mesh,
         schedules: &[(&Schedule, f64)],
     ) -> Result<(RunResult, Vec<f64>), SimError> {
-        let mut messages = self
-            .lowered
-            .lock()
-            .expect("message pool poisoned")
-            .pop()
-            .unwrap_or_default();
-        let spans = schedule_messages_into(schedules, &mut messages);
-        let result = self.sim.simulate(mesh, &messages).map(|outcome| {
-            let per_schedule = spans
-                .iter()
-                .map(|&(a, b)| {
-                    outcome.completions()[a..b]
-                        .iter()
-                        .copied()
-                        .fold(0.0, f64::max)
-                })
-                .collect();
-            let run = RunResult::of(&outcome, outcome.makespan_ns());
-            self.sim.recycle(outcome);
-            (run, per_schedule)
-        });
-        self.lowered
-            .lock()
-            .expect("message pool poisoned")
-            .push(messages);
-        result.map_err(Into::into)
+        let outcome = self.simulate(mesh, schedules, &mut NullSink)?;
+        let mut start = 0;
+        let per_schedule = schedules
+            .iter()
+            .map(|(s, _)| {
+                let span = start..start + s.len();
+                start = span.end;
+                outcome.completions()[span]
+                    .iter()
+                    .copied()
+                    .fold(0.0, f64::max)
+            })
+            .collect();
+        let run = RunResult::of(&outcome, outcome.makespan_ns());
+        self.sim.recycle(outcome);
+        Ok((run, per_schedule))
     }
 
     /// The underlying packet engine, for the audit layer.
@@ -415,115 +441,118 @@ impl SimEngine {
     }
 }
 
-/// Lowers a streamed op sequence straight into a (possibly recycled)
-/// message buffer, entry by entry — the streaming counterpart of
-/// [`schedule_messages_into`]. Op `k` becomes message `k`; dependency ids
-/// translate one-to-one, so the resulting DAG is byte-for-byte the DAG the
-/// materialized path lowers.
-struct MessageSink<'a> {
-    messages: &'a mut Vec<Message>,
-    idx: usize,
-}
+/// Test support: the DAG a [`PhasedDag`] reads, hand-lowered into a
+/// message list (ids and dependency ids offset by the ops before each part,
+/// each part ready at its own time), and an outcome's values as bits.
+#[cfg(test)]
+pub(crate) mod lowered {
+    use meshcoll_collectives::Schedule;
+    use meshcoll_noc::{Message, MsgId, SimOutcome};
+    use meshcoll_topo::Mesh;
 
-impl OpSink for MessageSink<'_> {
-    fn push(
-        &mut self,
-        src: NodeId,
-        dst: NodeId,
-        _offset: u64,
-        bytes: u64,
-        _kind: OpKind,
-        _chunk: u32,
-        deps: &[OpId],
-    ) -> OpId {
-        let idx = self.idx;
-        let id = u32::try_from(idx).expect("streamed schedule exceeds u32 op ids");
-        let dep_ids = deps.iter().map(|d| MsgId(d.index()));
-        if let Some(m) = self.messages.get_mut(idx) {
-            m.id = MsgId(idx);
-            m.src = src;
-            m.dst = dst;
-            m.bytes = bytes;
-            m.ready_at_ns = 0.0;
-            m.deps.clear();
-            m.deps.extend(dep_ids);
-        } else {
-            self.messages
-                .push(Message::new(MsgId(idx), src, dst, bytes).with_deps(dep_ids));
-        }
-        self.idx += 1;
-        OpId(id)
-    }
-
-    fn set_participants(&mut self, _nodes: Vec<NodeId>) {
-        // Timing needs only the message DAG; participants matter to the
-        // functional verifier and audits, which run on materialized
-        // schedules.
-    }
-}
-
-/// Lowers schedules to the simulator's message DAG: one [`Message`] per op,
-/// dependencies preserved, ids offset so several schedules share one id
-/// space. Returns the messages plus each schedule's `[start, end)` span.
-///
-/// Shared by [`SimEngine::run_phased`] and the audit layer, so the audited
-/// DAG is byte-for-byte the DAG production runs time.
-pub(crate) fn schedule_messages(
-    schedules: &[(&Schedule, f64)],
-) -> (Vec<Message>, Vec<(usize, usize)>) {
-    let mut messages = Vec::new();
-    let spans = schedule_messages_into(schedules, &mut messages);
-    (messages, spans)
-}
-
-/// In-place variant of [`schedule_messages`]: rewrites `messages` entry by
-/// entry so a recycled buffer keeps both its spine and its per-message
-/// dependency-list allocations — the congested schedules lower ~10^5 ops,
-/// and rebuilding that buffer from scratch costs more than a third of the
-/// fast path's whole simulation time.
-pub(crate) fn schedule_messages_into(
-    schedules: &[(&Schedule, f64)],
-    messages: &mut Vec<Message>,
-) -> Vec<(usize, usize)> {
-    let total_ops: usize = schedules.iter().map(|(s, _)| s.len()).sum();
-    messages.truncate(total_ops);
-    let mut base = 0u32;
-    let mut idx = 0usize;
-    let mut spans: Vec<(usize, usize)> = Vec::with_capacity(schedules.len());
-    for (schedule, ready_at) in schedules {
-        let start = idx;
-        for id in schedule.op_ids() {
-            let op = schedule.op(id);
-            let deps = schedule
-                .deps(id)
-                .iter()
-                .map(|d| MsgId((base + d.0) as usize));
-            if let Some(m) = messages.get_mut(idx) {
-                m.id = MsgId((base + id.0) as usize);
-                m.src = op.src;
-                m.dst = op.dst;
-                m.bytes = op.bytes;
-                m.ready_at_ns = *ready_at;
-                m.deps.clear();
-                m.deps.extend(deps);
-            } else {
-                let mut m = Message::new(MsgId((base + id.0) as usize), op.src, op.dst, op.bytes)
-                    .with_deps(deps);
-                m.ready_at_ns = *ready_at;
-                messages.push(m);
+    pub(crate) fn lower(parts: &[(&Schedule, f64)]) -> Vec<Message> {
+        let mut messages = Vec::new();
+        for &(s, ready_at) in parts {
+            let base = messages.len();
+            for id in s.op_ids() {
+                let op = s.op(id);
+                let deps = s.deps(id).iter().map(|d| MsgId(base + d.index()));
+                messages.push(
+                    Message::new(MsgId(base + id.index()), op.src, op.dst, op.bytes)
+                        .with_deps(deps)
+                        .with_ready_at(ready_at),
+                );
             }
-            idx += 1;
         }
-        base += schedule.len() as u32;
-        spans.push((start, idx));
+        messages
     }
-    spans
+
+    /// Every completion, then every link's busy time, as bits.
+    pub(crate) fn bits(mesh: &Mesh, o: &SimOutcome) -> Vec<u64> {
+        let busy = mesh.links().map(|(_, _, l)| o.link_stats().busy_ns(l));
+        o.completions()
+            .iter()
+            .copied()
+            .chain(busy)
+            .map(f64::to_bits)
+            .collect()
+    }
 }
 
 #[cfg(test)]
 mod tests {
+    use super::lowered::{bits, lower};
     use super::*;
     use meshcoll_collectives::Algorithm;
+
+    #[test]
+    fn schedules_read_in_place_match_their_hand_lowered_messages() {
+        let opts = ScheduleOptions {
+            tto_chunk_bytes: 8192,
+            dbtree_segment_bytes: 8192,
+        };
+        for side in [4, 5] {
+            let mesh = Mesh::square(side).unwrap();
+            for a in Algorithm::BENCHMARKS {
+                let Ok(s) = a.schedule_with(&mesh, 1 << 18, &opts) else {
+                    continue;
+                };
+                let messages = lower(&[(&s, 0.0)]);
+                for mode in [SimMode::Auto, SimMode::PerPacket] {
+                    let sim = PacketSim::new(NocConfig::paper_default()).with_mode(mode);
+                    let in_place = sim.simulate_dag(&mesh, &s, &mut NullSink).unwrap();
+                    assert!(in_place.interruption.is_none());
+                    let lowered = sim.simulate(&mesh, &messages).unwrap();
+                    assert_eq!(
+                        bits(&mesh, &in_place.outcome),
+                        bits(&mesh, &lowered),
+                        "{a} on {side}x{side}, {mode:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn phased_runs_are_bit_identical_to_hand_lowered_messages() {
+        let mesh = Mesh::square(4).unwrap();
+        let ring = Algorithm::Ring.schedule(&mesh, 1 << 18).unwrap();
+        let tto = Algorithm::Tto.schedule(&mesh, 1 << 18).unwrap();
+        let parts = [(&ring, 0.0), (&tto, 12_345.6)];
+        let messages = lower(&parts);
+        for mode in [SimMode::Auto, SimMode::PerPacket] {
+            let e = SimEngine::paper_default().with_mode(mode);
+            let lowered = e.packet_sim().simulate(&mesh, &messages).unwrap();
+            let in_place = e.simulate(&mesh, &parts, &mut NullSink).unwrap();
+            assert_eq!(bits(&mesh, &in_place), bits(&mesh, &lowered), "{mode:?}");
+
+            // `run_phased` reports exactly that outcome.
+            let (run, per_schedule) = e.run_phased(&mesh, &parts).unwrap();
+            let makespan = lowered.makespan_ns();
+            let stats = lowered.link_stats();
+            assert_eq!(run.total_time_ns.to_bits(), makespan.to_bits());
+            assert_eq!(
+                run.link_utilization_percent.to_bits(),
+                stats.utilization_percent(makespan).to_bits()
+            );
+            assert_eq!(
+                run.used_link_percent.to_bits(),
+                stats.used_link_percent().to_bits()
+            );
+            let last = |r: std::ops::Range<usize>| {
+                lowered.completions()[r]
+                    .iter()
+                    .copied()
+                    .fold(0.0, f64::max)
+                    .to_bits()
+            };
+            let split = ring.len();
+            assert_eq!(
+                per_schedule.iter().map(|t| t.to_bits()).collect::<Vec<_>>(),
+                vec![last(0..split), last(split..messages.len())]
+            );
+        }
+    }
 
     #[test]
     fn ring_bi_beats_unidirectional_ring() {

@@ -32,7 +32,7 @@ use meshcoll_noc::{
 };
 use meshcoll_topo::{Mesh, NodeId};
 
-use crate::engine::schedule_messages;
+use crate::engine::PhasedDag;
 use crate::{RunResult, RunStatus, SimEngine, SimError};
 
 /// Per-run options for [`SimEngine::run_online`].
@@ -188,20 +188,23 @@ impl SimEngine {
             let sim = PacketSim::new(cfg)
                 .with_route_cache(self.packet_sim().route_cache().clone())
                 .with_mode(self.packet_sim().mode());
-            let (messages, _) = schedule_messages(&[(&schedule, st.resume_at)]);
+            // The segment resumes in place: every op of the (repaired)
+            // schedule becomes ready at the drain time.
+            let parts = [(&schedule, st.resume_at)];
+            let dag = PhasedDag::new(&parts);
             if !st.segments.is_empty() && online.audit {
                 st.events.push(TraceEvent::Resume {
                     at_ns: st.resume_at,
-                    suffix_msgs: messages.len() as u64,
+                    suffix_msgs: schedule.len() as u64,
                 });
             }
             let report = if online.audit {
                 let mut sink = MemorySink::new();
-                let r = sim.simulate_online(mesh, &messages, &mut sink)?;
+                let r = sim.simulate_dag(mesh, &dag, &mut sink)?;
                 st.events.extend_from_slice(sink.events());
                 r
             } else {
-                sim.simulate_online(mesh, &messages, &mut NullSink)?
+                sim.simulate_dag(mesh, &dag, &mut NullSink)?
             };
             st.segments.push(report.outcome);
 
@@ -337,10 +340,10 @@ mod tests {
     /// The link with the most busy time in a healthy run of `s`: traffic
     /// on it spans the run, so a mid-run death is guaranteed to interrupt.
     fn busiest_link(mesh: &Mesh, s: &Schedule) -> meshcoll_topo::LinkId {
-        let (messages, _) = schedule_messages(&[(s, 0.0)]);
         let out = PacketSim::new(NocConfig::paper_default())
-            .simulate(mesh, &messages)
-            .unwrap();
+            .simulate_dag(mesh, s, &mut NullSink)
+            .unwrap()
+            .outcome;
         mesh.links()
             .map(|(_, _, l)| l)
             .max_by(|&a, &b| {
@@ -490,6 +493,80 @@ mod tests {
             .unwrap();
         assert_eq!(run.status, RunStatus::Completed);
         assert!(run.result.is_some());
+    }
+
+    /// Runs one online segment of `schedule`, resumed at `resume_at`, both
+    /// in place and hand-lowered into messages, and asserts the two agree
+    /// bit for bit: every completion and link busy time, the trace, and
+    /// the drain snapshot.
+    fn assert_segment_matches_lowered(
+        mesh: &Mesh,
+        noc: &NocConfig,
+        schedule: &Schedule,
+        resume_at: f64,
+    ) -> meshcoll_noc::OnlineReport {
+        use crate::engine::lowered::{bits, lower};
+        let sim = PacketSim::new(noc.clone());
+        let parts = [(schedule, resume_at)];
+        let mut in_place_trace = MemorySink::new();
+        let in_place = sim
+            .simulate_dag(mesh, &PhasedDag::new(&parts), &mut in_place_trace)
+            .unwrap();
+        let mut lowered_trace = MemorySink::new();
+        let lowered = sim
+            .simulate_online(mesh, &lower(&parts), &mut lowered_trace)
+            .unwrap();
+        assert_eq!(bits(mesh, &in_place.outcome), bits(mesh, &lowered.outcome));
+        assert_eq!(in_place_trace.events(), lowered_trace.events());
+        match (&in_place.interruption, &lowered.interruption) {
+            (None, None) => {}
+            (Some(a), Some(b)) => {
+                assert_eq!(a.drain_ns.to_bits(), b.drain_ns.to_bits());
+                assert_eq!(a.first_fault_ns.to_bits(), b.first_fault_ns.to_bits());
+                assert_eq!(a.delivered, b.delivered);
+                assert_eq!(a.delivered_bytes, b.delivered_bytes);
+                assert_eq!((a.lost_bytes, a.lost_msgs), (b.lost_bytes, b.lost_msgs));
+                assert_eq!(a.faults_applied, b.faults_applied);
+                assert_eq!(a.first_lost_msg, b.first_lost_msg);
+                assert_eq!(a.first_dead_link, b.first_dead_link);
+            }
+            (a, b) => panic!("interrupted in place: {a:?}, lowered: {b:?}"),
+        }
+        in_place
+    }
+
+    #[test]
+    fn resumed_segments_are_bit_identical_to_hand_lowered_messages() {
+        // A mid-run death interrupts the first segment; the repaired suffix
+        // resumes at its drain time. Both segments, read in place, match
+        // the same DAG lowered into messages by hand.
+        let mesh = Mesh::square(5).unwrap();
+        let d = 1 << 18;
+        let a = Algorithm::RingBiOdd;
+        let s = a.schedule_with(&mesh, d, &opts()).unwrap();
+        let healthy = SimEngine::paper_default().run(&mesh, &s).unwrap();
+        let mut noc = NocConfig::paper_default();
+        noc.timeline
+            .link_dies_at(busiest_link(&mesh, &s), healthy.total_time_ns * 0.5);
+
+        let first = assert_segment_matches_lowered(&mesh, &noc, &s, 0.0);
+        let snap = first.interruption.expect("the death interrupts the run");
+        let ctx = SuffixContext {
+            mesh: &mesh,
+            faults: &snap.overlay,
+            routing: noc.routing,
+            contributors: s.participants(),
+            history: &[],
+            schedule: &s,
+            completed: &snap.delivered,
+        };
+        let suffix = repair_suffix(&ctx, a, &opts()).unwrap().suffix;
+        let mut resumed = noc.clone();
+        resumed.faults = snap.overlay.clone();
+        resumed.timeline = snap.remaining.clone();
+        let second = assert_segment_matches_lowered(&mesh, &resumed, &suffix, snap.drain_ns);
+        assert!(second.interruption.is_none());
+        assert!(second.outcome.makespan_ns() > snap.drain_ns);
     }
 
     #[test]

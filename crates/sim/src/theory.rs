@@ -150,9 +150,15 @@ mod tests {
 
     #[test]
     fn multitree_simulation_is_no_slower_than_lockstep_theory() {
-        // The dependency-driven simulation may pipeline across the greedy
-        // trees' timesteps, so it can only be <= the synchronized model
-        // (modulo small-message overheads).
+        // The lockstep model's timesteps are conflict-free by construction.
+        // The dependency-driven run lets them overlap, so trees can meet on
+        // a link, and which goes first is decided by the engine's tie key
+        // (DESIGN.md §5): the simulation is not <= the model in every
+        // service order. Under the documented key it lands just under it
+        // (981,882.88 vs 982,344.88 ns); breaking ties by message id alone
+        // moved it 18 % later. So the 1.1x bound holds under the documented
+        // key, and the order-independent check is the analyzer's certified
+        // floor.
         let mesh = Mesh::square(4).unwrap();
         let noc = NocConfig::paper_default();
         let engine = SimEngine::new(noc.clone());
@@ -163,7 +169,13 @@ mod tests {
             .time_ns;
         assert!(
             simulated <= predicted * 1.1,
-            "simulated {simulated} vs lockstep bound {predicted}"
+            "simulated {simulated} vs lockstep model {predicted}"
+        );
+        let schedule = Algorithm::MultiTree.schedule(&mesh, data).unwrap();
+        let floor = crate::analyzer::analyze(&mesh, &schedule, &noc).lower_bound_ns();
+        assert!(
+            simulated >= floor,
+            "simulated {simulated} undercuts the certified bound {floor}"
         );
     }
 

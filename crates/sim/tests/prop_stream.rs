@@ -1,14 +1,45 @@
-//! Property sweep for the streaming fast path: over random mesh/torus
-//! shapes, algorithms, gradient sizes, and fault masks, the streamed
-//! schedule must be bit-identical to the materialized one — op for op at
-//! the collectives layer, and result for result (or error for error)
-//! through the full simulation pipeline.
+//! Property sweep for streamed generation: over random mesh/torus shapes,
+//! algorithms, gradient sizes, and fault masks, the op stream a generator
+//! emits must be bit-identical to the materialized schedule — op for op at
+//! the collectives layer — and `run_streamed` must return what `run` on
+//! the materialized schedule returns (result for result, error for error).
 
-use meshcoll_collectives::{Algorithm, ScheduleOptions, ScheduleStream};
+use meshcoll_collectives::{Algorithm, OpId, OpKind, OpSink, ScheduleOptions};
 use meshcoll_noc::NocConfig;
 use meshcoll_sim::SimEngine;
-use meshcoll_topo::Mesh;
+use meshcoll_topo::{Mesh, NodeId};
 use proptest::prelude::*;
+
+/// One pushed op: `(src, dst, offset, bytes, kind, chunk, deps)`.
+type Pushed = (NodeId, NodeId, u64, u64, OpKind, u32, Vec<OpId>);
+
+/// An [`OpSink`] that records every push verbatim.
+#[derive(Default)]
+struct Collect {
+    participants: Vec<NodeId>,
+    ops: Vec<Pushed>,
+}
+
+impl OpSink for Collect {
+    fn push(
+        &mut self,
+        src: NodeId,
+        dst: NodeId,
+        offset: u64,
+        bytes: u64,
+        kind: OpKind,
+        chunk: u32,
+        deps: &[OpId],
+    ) -> OpId {
+        self.ops
+            .push((src, dst, offset, bytes, kind, chunk, deps.to_vec()));
+        OpId(self.ops.len() as u32 - 1)
+    }
+
+    fn set_participants(&mut self, nodes: Vec<NodeId>) {
+        self.participants = nodes;
+    }
+}
 
 const ALGOS: [Algorithm; 6] = [
     Algorithm::Ring,
@@ -29,8 +60,8 @@ fn opts() -> ScheduleOptions {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// The op sequence a [`ScheduleStream`] yields is the materialized
-    /// [`Schedule`], id for id, dep for dep, in emission order.
+    /// The op sequence `emit_with` pushes into a sink is the materialized
+    /// schedule, id for id, dep for dep, in emission order.
     #[test]
     fn streamed_ops_equal_materialized_on_random_shapes(
         rows in 3usize..7,
@@ -46,32 +77,31 @@ proptest! {
         };
         let a = ALGOS[algo];
         let d = data_kb * 1024;
+        let mut sink = Collect::default();
+        let emitted = a.emit_with(&mesh, d, &opts(), &mut sink);
         let materialized = match a.schedule_with(&mesh, d, &opts()) {
             Ok(s) => s,
-            Err(_) => {
-                // The stream constructor must reject exactly what the
-                // materialized constructor rejects.
-                prop_assert!(ScheduleStream::new(a, &mesh, d, &opts()).is_err());
+            Err(e) => {
+                // Emission must reject exactly what the materialized
+                // constructor rejects, with the same error.
+                prop_assert_eq!(emitted, Err(e));
                 return Ok(());
             }
         };
-        let stream = ScheduleStream::new(a, &mesh, d, &opts()).unwrap();
-        prop_assert_eq!(stream.participants(), materialized.participants());
-        let mut count = 0usize;
-        for (i, item) in stream.enumerate() {
-            let op = item.expect("mid-stream failure on a valid config");
-            let want = materialized.op(op.id);
-            prop_assert_eq!(op.id.index(), i);
-            prop_assert_eq!(op.src, want.src);
-            prop_assert_eq!(op.dst, want.dst);
-            prop_assert_eq!(op.offset, want.offset);
-            prop_assert_eq!(op.bytes, want.bytes);
-            prop_assert_eq!(op.kind, want.kind);
-            prop_assert_eq!(op.chunk, want.chunk);
-            prop_assert_eq!(op.deps.as_slice(), materialized.deps(op.id));
-            count += 1;
+        prop_assert_eq!(emitted, Ok(()));
+        prop_assert_eq!(sink.participants.as_slice(), materialized.participants());
+        prop_assert_eq!(sink.ops.len(), materialized.len());
+        for (op, id) in sink.ops.iter().zip(materialized.op_ids()) {
+            let want = materialized.op(id);
+            let (src, dst, offset, bytes, kind, chunk, deps) = op;
+            prop_assert_eq!(*src, want.src);
+            prop_assert_eq!(*dst, want.dst);
+            prop_assert_eq!(*offset, want.offset);
+            prop_assert_eq!(*bytes, want.bytes);
+            prop_assert_eq!(*kind, want.kind);
+            prop_assert_eq!(*chunk, want.chunk);
+            prop_assert_eq!(deps.as_slice(), materialized.deps(id));
         }
-        prop_assert_eq!(count, materialized.len());
     }
 
     /// Through the engines — healthy or under a random static fault mask —

@@ -14,8 +14,9 @@
 //! analyzer's *certified* lower bounds: a child whose bound already meets
 //! the beam's worst simulated makespan provably cannot improve the beam, so
 //! it never reaches the simulator. Survivors are scored with
-//! [`PacketSim::simulate`] (the coalescing fast path with exact fallback)
-//! and folded into a pareto front of makespan versus peak link utilization.
+//! [`PacketSim::simulate_dag`] on the schedule itself (the coalescing fast
+//! path with exact fallback) and folded into a pareto front of makespan
+//! versus peak link utilization.
 //!
 //! The search is bit-identical for a fixed seed regardless of `jobs`:
 //! every candidate's RNG stream is keyed by its deterministic candidate id,
@@ -31,7 +32,7 @@ use std::fmt;
 use ir::{mutate, Candidate};
 use meshcoll_analyzer as analyzer;
 use meshcoll_collectives::{fault, lint, verify, Algorithm, Schedule, ScheduleOptions};
-use meshcoll_noc::{Message, MsgId, NocConfig, NocError, PacketSim};
+use meshcoll_noc::{NocConfig, NocError, NullSink, PacketSim};
 use meshcoll_topo::Mesh;
 use meshcoll_util::rng::Rng;
 use pareto::ParetoFront;
@@ -392,8 +393,8 @@ fn validates(mesh: &Mesh, cfg: &SynthConfig, schedule: &Schedule) -> bool {
             .all(|&s| verify::check_allreduce_seeded(mesh, schedule, s).is_ok())
 }
 
-/// Lowers the schedule to the simulator's message DAG (one message per op,
-/// dependencies preserved) and extracts makespan + peak link utilization.
+/// Simulates the schedule in place (it is the engine's transfer DAG) and
+/// extracts makespan + peak link utilization.
 fn score(
     sim: &PacketSim,
     mesh: &Mesh,
@@ -401,15 +402,9 @@ fn score(
     lower_bound_ns: f64,
     origin: String,
 ) -> Result<ScoredSchedule, NocError> {
-    let messages: Vec<Message> = schedule
-        .op_ids()
-        .map(|id| {
-            let op = schedule.op(id);
-            Message::new(MsgId(id.index()), op.src, op.dst, op.bytes)
-                .with_deps(schedule.deps(id).iter().map(|d| MsgId(d.index())))
-        })
-        .collect();
-    let outcome = sim.simulate(mesh, &messages)?;
+    let outcome = sim
+        .simulate_dag(mesh, schedule, &mut NullSink)?
+        .into_outcome()?;
     let makespan_ns = outcome.makespan_ns();
     let peak_link_utilization = if makespan_ns > 0.0 {
         mesh.links()

@@ -14,10 +14,12 @@
 //!   corner (paper §IV-A),
 //! * [`tree`] — a rooted-tree container used by the tree-based AllReduce
 //!   algorithms (DBTree, MultiTree, TTO),
-//! * [`fault`] — a model of dead/degraded links and chiplets, plus
+//! * [`fault`] — a model of dead/degraded links and chiplets,
 //! * [`masked`] — cycle/tree constructions on the fault-masked topology,
 //!   which return a typed [`TopologyError::Infeasible`] when the survivors
-//!   cannot support the structure.
+//!   cannot support the structure, plus
+//! * [`dag`] — [`TransferDag`], the read-only transfer-DAG view the packet
+//!   engines simulate, so schedules and message lists run in place.
 //!
 //! # Example
 //!
@@ -32,6 +34,7 @@
 //! # Ok::<(), meshcoll_topo::TopologyError>(())
 //! ```
 
+pub mod dag;
 mod error;
 pub mod fault;
 pub mod hamiltonian;
@@ -42,6 +45,7 @@ pub mod routing;
 pub mod timeline;
 pub mod tree;
 
+pub use dag::TransferDag;
 pub use error::TopologyError;
 pub use fault::{FaultModel, LinkFlap};
 pub use hierarchy::Hierarchy;
