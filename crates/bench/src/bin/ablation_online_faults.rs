@@ -3,10 +3,15 @@
 //! drain → repair → resume loop ([`meshcoll_sim::SimEngine::run_online`]).
 //!
 //! For every scenario the run must land in a typed verdict, and every
-//! audited repair must pass the trace invariant audit (byte conservation,
-//! splice causality, dead-link exclusivity). The binary **panics** on any
-//! violated expectation, so CI can run it as a chaos gate: a non-zero exit
-//! means the online repair path broke an invariant.
+//! audited repair must pass the online audit: each segment's trace keeps
+//! byte conservation, splice causality and dead-link exclusivity, and its
+//! per-packet re-run reports the kept run's completions, busy time and
+//! drain snapshot bit for bit (engine identity). The binary **panics** on
+//! any violated expectation, so CI can run it as a chaos gate: a non-zero
+//! exit means the online repair path broke an invariant. Each record notes
+//! the engine that carried the scenario's first segment
+//! (`first_segment_trains`: 1 for the packet-train fast path, 0 for the
+//! per-packet loop).
 //!
 //! Scenarios per algorithm:
 //!
@@ -27,7 +32,7 @@ use meshcoll_bench::{
     fmt_bytes, mib, rule, Cli, Mesh, NocConfig, Record, ScheduleOptions, SimContext, SweepSize,
 };
 use meshcoll_collectives::{Algorithm, Schedule};
-use meshcoll_noc::{MemorySink, Message, MsgId, PacketSim, TraceEvent};
+use meshcoll_noc::{Engine, MemorySink, Message, MsgId, PacketSim, TraceEvent, Violation};
 use meshcoll_sim::{OnlineOptions, RunStatus};
 use meshcoll_topo::{Coord, FaultTimeline, LinkId};
 
@@ -180,6 +185,8 @@ struct Row {
     attempts: usize,
     lost_bytes: u64,
     audit_clean: bool,
+    /// The engine that carried the first segment.
+    first_engine: Option<Engine>,
 }
 
 fn main() {
@@ -210,10 +217,10 @@ fn main() {
         fmt_bytes(data)
     );
     println!(
-        "{:<10} {:<13} {:<16} {:>10} {:>10} {:>9} {:>8} {:>9}  audit",
-        "algo", "scenario", "status", "healthy", "total", "repair", "attempts", "lost"
+        "{:<10} {:<13} {:<16} {:>10} {:>10} {:>9} {:>8} {:>9}  {:<6} first segment",
+        "algo", "scenario", "status", "healthy", "total", "repair", "attempts", "lost", "audit"
     );
-    rule(98);
+    rule(112);
 
     // Healthy profiles are shared across scenarios; compute them once.
     let profiles: Vec<(Algorithm, Healthy)> = algorithms
@@ -263,10 +270,16 @@ fn main() {
         };
 
         // Chaos-gate expectations — panic (non-zero exit) on any breach.
+        let violations = run.audit.as_ref().map_or(&[][..], |a| &a.violations[..]);
+        if let Some(v) = violations
+            .iter()
+            .find(|v| matches!(v, Violation::EngineMismatch { .. }))
+        {
+            panic!("{algo:?} {sc:?}: the fast path differs from the per-packet engine: {v}");
+        }
         assert!(
             audit_clean,
-            "{algo:?} {sc:?}: trace invariant audit reported violations: {:?}",
-            run.audit.map(|a| a.violations)
+            "{algo:?} {sc:?}: trace invariant audit reported violations: {violations:?}"
         );
         match sc {
             Scenario::Link { .. } => assert!(
@@ -295,13 +308,19 @@ fn main() {
             attempts,
             lost_bytes,
             audit_clean,
+            first_engine: run.engines.first().copied(),
         }
     });
 
     let mut records = Vec::new();
     for r in &rows {
+        let engine = match r.first_engine {
+            Some(Engine::Trains) => "trains".to_string(),
+            Some(Engine::PerPacket(why)) => format!("per packet ({why:?})"),
+            None => "-".to_string(),
+        };
         println!(
-            "{:<10} {:<13} {:<16} {:>9.0}n {:>9.0}n {:>8.0}n {:>8} {:>9}  {}",
+            "{:<10} {:<13} {:<16} {:>9.0}n {:>9.0}n {:>8.0}n {:>8} {:>9}  {:<6} {engine}",
             r.algo,
             r.scenario,
             r.status.split(':').next().unwrap_or(&r.status),
@@ -324,10 +343,14 @@ fn main() {
             .with("repair_ns", r.repair_ns)
             .with("attempts", r.attempts as f64)
             .with("lost_bytes", r.lost_bytes as f64)
-            .with("audit_clean", f64::from(u8::from(r.audit_clean))),
+            .with("audit_clean", f64::from(u8::from(r.audit_clean)))
+            .with(
+                "first_segment_trains",
+                f64::from(u8::from(r.first_engine == Some(Engine::Trains))),
+            ),
         );
     }
-    rule(98);
+    rule(112);
     println!(
         "all {} scenarios reached their expected verdicts with clean audits",
         rows.len()

@@ -74,8 +74,15 @@ impl fmt::Display for FaultLintIssue {
 
 /// Validates `schedule` against `faults`: walks every op's route under
 /// `routing` and reports each hop over an unusable link, each op touching a
-/// dead chiplet, and each dead participant. An empty result means the
-/// schedule can execute on the degraded package.
+/// dead chiplet, and each dead participant, in that order per op. An empty
+/// result means the schedule can execute on the degraded package.
+///
+/// Without a dead chiplet or link nothing can be reported past the
+/// participants, so no route is walked. Otherwise each distinct (src, dst)
+/// route is walked once while it stays clean (on meshes of up to 256
+/// chiplets, where the pair table stays small): a schedule repeats a few
+/// hundred pairs thousands of times, and only a dirty pair's route is
+/// walked again, to report its dead links for every op that takes it.
 pub fn lint(
     mesh: &Mesh,
     faults: &FaultModel,
@@ -88,6 +95,15 @@ pub fn lint(
             issues.push(FaultLintIssue::FailedParticipant { node: p });
         }
     }
+    if faults.failed_node_count() == 0 && faults.failed_link_count() == 0 {
+        return issues;
+    }
+    let mut usable = vec![true; mesh.link_id_space()];
+    for (_, _, link) in mesh.links() {
+        usable[link.index()] = faults.link_usable(mesh, link);
+    }
+    let nodes = mesh.nodes();
+    let mut clean = vec![false; if nodes <= 256 { nodes * nodes } else { 0 }];
     for id in schedule.op_ids() {
         let op = schedule.op(id);
         for node in [op.src, op.dst] {
@@ -95,12 +111,21 @@ pub fn lint(
                 issues.push(FaultLintIssue::FailedEndpoint { op: id, node });
             }
         }
+        let (s, d) = (op.src.index(), op.dst.index());
+        let pair = (s < nodes && d < nodes && !clean.is_empty()).then_some(s * nodes + d);
+        if pair.is_some_and(|p| clean[p]) {
+            continue;
+        }
         // Malformed node ids are the base lint's concern, not ours.
         if let Ok(links) = routing::route(mesh, op.src, op.dst, routing) {
+            let before = issues.len();
             for link in links {
-                if !faults.link_usable(mesh, link) {
+                if !usable[link.index()] {
                     issues.push(FaultLintIssue::DeadLink { op: id, link });
                 }
+            }
+            if let Some(p) = pair.filter(|_| issues.len() == before) {
+                clean[p] = true;
             }
         }
     }
@@ -676,6 +701,91 @@ mod tests {
         assert!(issues
             .iter()
             .any(|i| matches!(i, FaultLintIssue::FailedEndpoint { .. })));
+    }
+
+    /// The lint walked op by op, every route in full.
+    fn brute_force_lint(
+        mesh: &Mesh,
+        faults: &FaultModel,
+        schedule: &Schedule,
+        routing: RoutingAlgorithm,
+    ) -> Vec<FaultLintIssue> {
+        let mut issues = Vec::new();
+        for &p in schedule.participants() {
+            if faults.node_failed(p) {
+                issues.push(FaultLintIssue::FailedParticipant { node: p });
+            }
+        }
+        for id in schedule.op_ids() {
+            let op = schedule.op(id);
+            for node in [op.src, op.dst] {
+                if faults.node_failed(node) {
+                    issues.push(FaultLintIssue::FailedEndpoint { op: id, node });
+                }
+            }
+            if let Ok(links) = routing::route(mesh, op.src, op.dst, routing) {
+                for link in links {
+                    if !faults.link_usable(mesh, link) {
+                        issues.push(FaultLintIssue::DeadLink { op: id, link });
+                    }
+                }
+            }
+        }
+        issues
+    }
+
+    #[test]
+    fn lint_matches_a_brute_force_walk() {
+        // Random ops (repeated pairs, and nodes past the mesh) under random
+        // dead chiplets and links (some ids past the mesh too), on meshes
+        // and tori under both routings.
+        let mut rng = meshcoll_util::Rng::new(0x11a7);
+        let mut dirty = 0;
+        for case in 0..300 {
+            let (rows, cols) = (rng.range_usize(1, 7), rng.range_usize(2, 7));
+            let mesh = if case % 3 == 0 {
+                Mesh::torus(rows.max(3), cols.max(3))
+            } else {
+                Mesh::new(rows, cols)
+            }
+            .unwrap();
+            let nodes = mesh.nodes();
+            let node = |rng: &mut meshcoll_util::Rng| NodeId(rng.range_usize(0, nodes + 2));
+            let mut faults = FaultModel::new();
+            for _ in 0..rng.range_usize(0, 3) {
+                faults.fail_node(node(&mut rng));
+            }
+            let links: Vec<LinkId> = mesh.links().map(|(_, _, l)| l).collect();
+            for _ in 0..rng.range_usize(0, 4) {
+                faults.fail_link(links[rng.range_usize(0, links.len())]);
+            }
+            if rng.below(4) == 0 {
+                faults.fail_link(LinkId(mesh.link_id_space() + 3));
+            }
+            let mut b = Schedule::builder("random", 1);
+            b.set_participants((0..nodes + 1).map(NodeId).collect());
+            let pairs: Vec<(NodeId, NodeId)> = (0..rng.range_usize(1, 6))
+                .map(|_| (node(&mut rng), node(&mut rng)))
+                .filter(|(s, d)| s != d)
+                .collect();
+            for _ in 0..rng.range_usize(0, 40) {
+                if let Some(&(s, d)) = pairs.get(rng.range_usize(0, pairs.len().max(1))) {
+                    b.push(s, d, 0, 1, crate::OpKind::Reduce, 0, &[]);
+                }
+            }
+            let s = b.build();
+            for routing in [RoutingAlgorithm::Xy, RoutingAlgorithm::Yx] {
+                let issues = lint(&mesh, &faults, &s, routing);
+                assert_eq!(
+                    issues,
+                    brute_force_lint(&mesh, &faults, &s, routing),
+                    "case {case}: {mesh}, {routing:?}, {faults:?}"
+                );
+                let dead = |i: &FaultLintIssue| matches!(i, FaultLintIssue::DeadLink { .. });
+                dirty += usize::from(issues.iter().filter(|i| dead(i)).count() > 1);
+            }
+        }
+        assert!(dirty > 50, "only {dirty} runs report a dead link twice");
     }
 
     #[test]

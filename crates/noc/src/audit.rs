@@ -30,6 +30,7 @@ use std::fmt;
 
 use meshcoll_topo::LinkId;
 
+use crate::online::ReportDiff;
 use crate::trace::TraceEvent;
 use crate::MsgId;
 
@@ -162,6 +163,15 @@ pub enum Violation {
         /// The governing resume time, ns.
         resume_ns: f64,
     },
+    /// An online segment's `Auto` run reports a value its per-packet re-run
+    /// does not, which it must match bit for bit.
+    EngineMismatch {
+        /// The segment (0 for the first).
+        segment: usize,
+        /// The first differing completion, busy time or snapshot field,
+        /// `Auto`'s value first.
+        diff: ReportDiff,
+    },
 }
 
 impl fmt::Display for Violation {
@@ -256,6 +266,10 @@ impl fmt::Display for Violation {
             Violation::SpliceCausality { at_ns, resume_ns } => write!(
                 f,
                 "event at {at_ns} ns precedes the governing resume at {resume_ns} ns"
+            ),
+            Violation::EngineMismatch { segment, diff } => write!(
+                f,
+                "segment {segment}: {diff} per packet (Auto's value first)"
             ),
         }
     }

@@ -51,15 +51,36 @@
 //!    delivery), and emits a [`TraceEvent::TrainSplit`].
 //! 3. **Decline.** Everything else — a second interloper in one window, a
 //!    sloped interloper, an owner whose next hop already committed — returns
-//!    [`Attempt::Contended`], and the caller runs the whole DAG through the
-//!    per-packet engine instead (see [`PacketSim`](crate::PacketSim)). So do
-//!    a zero header latency (events could then create same-instant events
-//!    that sort before them) and transient link flaps (each packet must
-//!    individually re-check the outage windows).
+//!    [`Attempt::Declined`] with its [`Decline`] site, and the caller runs
+//!    the whole DAG through the per-packet engine instead (see
+//!    [`PacketSim`](crate::PacketSim)). So do a zero header latency (events
+//!    could then create same-instant events that sort before them) and
+//!    transient link flaps (each packet must individually re-check the
+//!    outage windows).
 //!
 //! Each kept run's arithmetic is the per-packet engine's, term for term, in
 //! integers, so its completions and per-link busy time are bit-identical to
 //! the per-packet engine's.
+//!
+//! # Timed deaths
+//!
+//! Under a [`FaultTimeline`](meshcoll_topo::FaultTimeline) the pass applies
+//! the per-packet loop's death rule to whole trains. A train's starts on a
+//! link grow with the packet index, and a dropped packet leaves the link as
+//! it was, so the packets whose start is at or past the link's death are
+//! always a suffix of the train: the pass drops that suffix (one
+//! [`TraceEvent::PacketDrop`] per packet when traced), charges the link
+//! only for the served prefix (its [`TraceEvent::TrainHop`] carries the
+//! served count), and lets the prefix travel on as a shorter, *truncated*
+//! train. A truncated message never completes, but its packets that reach
+//! the destination count as delivered bytes. A message released at or
+//! after the death of a link on its route is withheld. The drain tally —
+//! delivered and lost bytes, the drain clock, and the first drop, ordered
+//! by drop time and then by the tie-order key of the dropped packet's own
+//! event — comes out exactly as the per-packet loop's. Two shapes decline
+//! on top of the static ones: a split whose re-served window reaches its
+//! link's death, and a split of a truncated train. A static run is its
+//! own instantiation of the pass, with every death check compiled away.
 //!
 //! # Scratch-backed runs
 //!
@@ -75,25 +96,25 @@
 
 use meshcoll_topo::{Mesh, TransferDag};
 
-use crate::packet_sim::{last_packet_bytes, RunSetup};
+use crate::config::Net;
+use crate::online::DrainTally;
+use crate::packet_sim::{last_packet_bytes, Deaths, RunSetup};
 use crate::time::{
     link_carries, ns_to_ps, ps_to_ns, rank, rank_class, LinkTiming, DELIVER, HOP, INJECT,
 };
 use crate::trace::{TraceEvent, TraceSink};
-use crate::{MsgId, NocConfig, NocError};
+use crate::{Decline, MsgId, NocError};
 
 /// Outcome of one fast-path attempt, with results written into the
 /// caller's buffers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug)]
 pub(crate) enum Attempt {
-    /// The run completed; completions/busy time were written.
-    Done {
-        /// The latest delivery, ps.
-        makespan_ps: u64,
-    },
-    /// FIFO order unprovable somewhere in the DAG; the caller must re-run
-    /// it through the per-packet engine.
-    Contended,
+    /// The run completed; completions and busy time were written, and the
+    /// tally holds a timeline run's drain (empty for static runs).
+    Done(DrainTally),
+    /// FIFO order unprovable at this site; the caller must re-run the whole
+    /// DAG through the per-packet engine.
+    Declined(Decline),
 }
 
 /// One train-level event, ordered like the per-packet engine's events by
@@ -212,7 +233,7 @@ struct EventQueue {
 
 impl EventQueue {
     /// Re-arms the queue for a new run of `expected_events` over
-    /// `horizon_ps`, sweeping any events left by a `Contended` abort.
+    /// `horizon_ps`, sweeping any events left by a declined pass.
     fn reset(&mut self, horizon_ps: u64, expected_events: usize) {
         if self.parked > 0 {
             self.buckets[..self.nbuckets].fill((NONE, NONE));
@@ -687,6 +708,8 @@ struct MsgState {
     /// the tie-order key of its deliveries and arrivals.
     age: u32,
     bytes: u64,
+    /// Packets still in flight: the whole train, until a death truncates
+    /// it to a prefix.
     pcount: u64,
     /// Pending next-hop arrival curve ([`CurveRef::EMPTY`] while at hop 0 or
     /// after delivery release).
@@ -700,6 +723,9 @@ struct MsgState {
     /// Route crosses a dead link; never injected.
     blocked: bool,
     completed: bool,
+    /// A timeline death dropped some of the train's packets, its last one
+    /// among them: the message can no longer complete.
+    truncated: bool,
 }
 
 /// Reusable working memory for [`run`], pooled on `PacketSim` (one per
@@ -716,7 +742,7 @@ pub(crate) struct WorkScratch {
     dep_cursor: Vec<u32>,
     links: Vec<LinkState>,
     /// Links committed to during the current run, reset lazily at the start
-    /// of the next one (covers `Contended` aborts without a scan).
+    /// of the next one (covers declined passes without a scan).
     touched: Vec<u32>,
     /// Per-link busy time (ps), all-zero between runs: the links a run
     /// touched are zeroed again when the next one begins.
@@ -823,25 +849,67 @@ fn inject_event<D: TransferDag + ?Sized, T: TraceSink>(
     });
 }
 
-/// Runs the whole message DAG at train granularity, entirely out of `ws`.
+/// The first packet in `0..pcount` whose time on the increasing curve is at
+/// or past `t`; packet `pcount - 1`'s must be.
+fn first_at_or_past(curve: &[Seg], pcount: u64, t: u64) -> u64 {
+    let (mut lo, mut hi) = (0, pcount - 1);
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        if eval(curve, mid) >= t {
+            hi = mid;
+        } else {
+            lo = mid + 1;
+        }
+    }
+    lo
+}
+
+/// Runs the whole message DAG at train granularity, entirely out of `ws`,
+/// under `deaths` when the run has a timeline.
 ///
 /// `completion` (one entry per message) and `busy` (one per link id,
-/// zeroed) are the caller's output slices. The fault model must have no
-/// transient flaps (the caller checks). On an [`Attempt::Contended`] return
+/// zeroed) are the caller's output slices, and a completed run returns its
+/// drain tally (empty for static runs). The fault model must have no
+/// transient flaps (the caller checks). On an [`Attempt::Declined`] return
 /// `completion` and `sink` hold a partial run, so callers wanting clean
 /// traces buffer into a temporary sink first.
-#[allow(clippy::too_many_arguments, clippy::too_many_lines)]
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn run<D: TransferDag + ?Sized, T: TraceSink>(
-    cfg: &NocConfig,
+    net: Net<'_>,
     mesh: &Mesh,
     dag: &D,
     setup: &RunSetup,
+    deaths: Option<&Deaths>,
     ws: &mut WorkScratch,
     completion: &mut [f64],
     busy: &mut [f64],
     sink: &mut T,
 ) -> Result<Attempt, NocError> {
-    debug_assert!(cfg.faults.flaps().is_empty());
+    // A static run is its own instantiation, with every death check
+    // compiled away.
+    if deaths.is_some() {
+        run_pass::<true, D, T>(net, mesh, dag, setup, deaths, ws, completion, busy, sink)
+    } else {
+        run_pass::<false, D, T>(net, mesh, dag, setup, None, ws, completion, busy, sink)
+    }
+}
+
+/// [`run`], with `TIMED` telling whether `deaths` is given.
+#[allow(clippy::too_many_arguments, clippy::too_many_lines)]
+fn run_pass<const TIMED: bool, D: TransferDag + ?Sized, T: TraceSink>(
+    net: Net<'_>,
+    mesh: &Mesh,
+    dag: &D,
+    setup: &RunSetup,
+    deaths: Option<&Deaths>,
+    ws: &mut WorkScratch,
+    completion: &mut [f64],
+    busy: &mut [f64],
+    sink: &mut T,
+) -> Result<Attempt, NocError> {
+    let deaths = if TIMED { deaths } else { None };
+    let cfg = net.cfg;
+    debug_assert!(net.faults.flaps().is_empty());
     let n = dag.len();
     ws.begin_run(mesh.link_id_space());
     let WorkScratch {
@@ -863,15 +931,16 @@ pub(crate) fn run<D: TransferDag + ?Sized, T: TraceSink>(
         tail_starts,
         amended,
     } = ws;
-    timing.reset(cfg, mesh);
+    timing.reset(net, mesh);
     let hop_lat = timing.hop;
     let ovh = timing.overhead;
     if hop_lat == 0 {
         // Without a header latency an injection could create a same-instant
         // arrival that sorts before it, and the key comparisons below
         // assume events pop in ascending key order.
-        return Ok(Attempt::Contended);
+        return Ok(Attempt::Declined(Decline::ZeroHeaderLatency));
     }
+    let mut tally = deaths.map_or_else(DrainTally::default, |_| DrainTally::timed(n));
 
     // Pass A: per-message state, fused with the horizon estimate's per-link
     // service accumulation and the dependent-count pass — the congested
@@ -891,7 +960,7 @@ pub(crate) fn run<D: TransferDag + ?Sized, T: TraceSink>(
         if r.len() >= usize::from(u16::MAX) {
             // Event hop indices are u16; no physical mesh route gets close.
             busy_est.fill(0);
-            return Ok(Attempt::Contended);
+            return Ok(Attempt::Declined(Decline::LongRoute));
         }
         let ready = ns_to_ps(dag.ready_at_ns(i));
         max_ready = max_ready.max(ready);
@@ -927,6 +996,7 @@ pub(crate) fn run<D: TransferDag + ?Sized, T: TraceSink>(
             pending_hop: 0,
             blocked: setup.blocked[i],
             completed: false,
+            truncated: false,
         });
     }
 
@@ -970,6 +1040,8 @@ pub(crate) fn run<D: TransferDag + ?Sized, T: TraceSink>(
         if st.pending_deps == 0 {
             if st.blocked {
                 stalled += 1;
+            } else if deaths.is_some_and(|dd| dd.withholds(setup, l, st.earliest)) {
+                tally.withhold(st.earliest);
             } else {
                 inject_event(queue, sink, dag, l, st.pcount, st.earliest, 0);
             }
@@ -992,6 +1064,10 @@ pub(crate) fn run<D: TransferDag + ?Sized, T: TraceSink>(
             completion[mi] = done_ns;
             delivered += 1;
             last_progress = last_progress.max(t);
+            if deaths.is_some() {
+                tally.delivered_bytes[mi] = msgs[mi].bytes;
+                tally.end_ps = tally.end_ps.max(t);
+            }
             if T::ENABLED {
                 sink.record(TraceEvent::Deliver {
                     msg: MsgId(mi),
@@ -1008,6 +1084,8 @@ pub(crate) fn run<D: TransferDag + ?Sized, T: TraceSink>(
                 if d.pending_deps == 0 {
                     if d.blocked {
                         stalled += 1;
+                    } else if deaths.is_some_and(|dd| dd.withholds(setup, dl, d.earliest)) {
+                        tally.withhold(d.earliest);
                     } else {
                         // Released at this very instant: the injection
                         // inherits this delivery's age.
@@ -1031,17 +1109,30 @@ pub(crate) fn run<D: TransferDag + ?Sized, T: TraceSink>(
         let link = route[j];
         let li = link.index();
         let total = msgs[mi].bytes;
+        // The packets still in flight: the whole train, or the prefix a
+        // death upstream left of it.
         let pcount = msgs[mi].pcount;
+        let truncated = TIMED && msgs[mi].truncated;
         // Hop-0 curves are implicitly the constant injection instant (never
         // materialized); deeper hops read the stored curve.
-        let a_last = if ev.hop == 0 {
-            t
-        } else {
-            curves.view(msgs[mi].curve).eval_at(pcount - 1)
+        let arr_ref = msgs[mi].curve;
+        let arrive = |curves: &CurveStore, k: u64| {
+            if ev.hop == 0 {
+                t
+            } else {
+                curves.view(arr_ref).eval_at(k)
+            }
         };
+        let a_last = arrive(curves, pcount - 1);
         let flat_instant = a_last == t;
 
-        let last_bytes = last_packet_bytes(cfg, total, pcount);
+        // A truncated train has lost its last packet, so every packet still
+        // in flight is a full one.
+        let last_bytes = if truncated {
+            cfg.packet_bytes
+        } else {
+            last_packet_bytes(cfg, total, pcount)
+        };
         let ser_last = timing.ser(li, last_bytes);
         let s = timing.full(li) + ovh;
 
@@ -1051,11 +1142,24 @@ pub(crate) fn run<D: TransferDag + ?Sized, T: TraceSink>(
             // --- FIFO train split: the head sorts inside the owner's
             // sloped window. Serve this flat train between two of the
             // owner's packets, re-serving the owner's tail behind it.
-            // Every unprovable shape declines. ---
-            if links[li].split || !flat_instant || links[li].owner_arr.is_empty() {
-                return Ok(Attempt::Contended);
+            // Every unprovable shape declines, and so does a split of a
+            // train a death truncated or one the link's death cuts. ---
+            let site = if links[li].split {
+                Some(Decline::SecondInterloper)
+            } else if !flat_instant {
+                Some(Decline::SlopedInterloper)
+            } else if links[li].owner_arr.is_empty() {
+                Some(Decline::UnownedWindow)
+            } else {
+                None
+            };
+            if let Some(site) = site {
+                return Ok(Attempt::Declined(site));
             }
             let am = links[li].owner as usize;
+            if truncated || (TIMED && msgs[am].truncated) {
+                return Ok(Attempt::Declined(Decline::Truncated));
+            }
             let a_hop = links[li].owner_hop;
             let a_final = (a_hop as usize) + 1 == setup.route(am).len();
             // The owner's downstream bookkeeping must still be pending
@@ -1066,7 +1170,7 @@ pub(crate) fn run<D: TransferDag + ?Sized, T: TraceSink>(
                 !msgs[am].curve.is_empty() && msgs[am].pending_hop == a_hop + 1
             };
             if !amendable {
-                return Ok(Attempt::Contended);
+                return Ok(Attempt::Declined(Decline::OwnerCommitted));
             }
             let a_total = msgs[am].bytes;
             let a_pcount = msgs[am].pcount;
@@ -1120,6 +1224,10 @@ pub(crate) fn run<D: TransferDag + ?Sized, T: TraceSink>(
             }
             let a_new_last = eval(tail_starts, tail_len - 1);
             let free_final = a_new_last + a_ser_last + ovh;
+            if deaths.is_some_and(|dd| a_new_last >= dd.link[li]) {
+                // The re-served window reaches the link's death.
+                return Ok(Attempt::Declined(Decline::DyingLink));
+            }
 
             if a_final {
                 // Supersede the owner's queued delivery.
@@ -1251,15 +1359,62 @@ pub(crate) fn run<D: TransferDag + ?Sized, T: TraceSink>(
                 serve_curve_into(st0, s, arr, pcount, starts);
             }
         }
-        let start_last = eval(starts, pcount - 1);
+        let mut start_last = eval(starts, pcount - 1);
 
-        busy_ps[li] += (pcount - 1) * s + ser_last + ovh;
+        // Under a timeline the packets whose start falls at or past the
+        // link's death are lost here, exactly as the per-packet loop drops
+        // them: a suffix, since starts grow with the packet index and a
+        // dropped packet leaves the link as it was. The served prefix
+        // travels on as a shorter train.
+        let mut served = pcount;
+        let (mut a_served, mut ser_served) = (a_last, ser_last);
+        if let Some(death) = deaths.map(|dd| dd.link[li]).filter(|&d| start_last >= d) {
+            served = first_at_or_past(starts, pcount, death);
+            let first = arrive(curves, served);
+            let lost = (pcount - served - 1) * cfg.packet_bytes + last_bytes;
+            tally.drop_packets(
+                (first.max(death), (first, ev.rank, ev.msg, served)),
+                a_last.max(death),
+                MsgId(mi),
+                link,
+                lost,
+            );
+            if T::ENABLED {
+                for k in served..pcount {
+                    sink.record(TraceEvent::PacketDrop {
+                        msg: MsgId(mi),
+                        packet: k,
+                        hop: u32::from(ev.hop),
+                        link,
+                        bytes: if k + 1 == pcount {
+                            last_bytes
+                        } else {
+                            cfg.packet_bytes
+                        },
+                        at_ns: ps_to_ns(arrive(curves, k).max(death)),
+                    });
+                }
+            }
+            msgs[mi].truncated = true;
+            msgs[mi].pcount = served;
+            if served == 0 {
+                // The whole train is lost: nothing commits to the link and
+                // the message never completes.
+                msgs[mi].curve = CurveRef::EMPTY;
+                continue;
+            }
+            start_last = eval(starts, served - 1);
+            a_served = arrive(curves, served - 1);
+            ser_served = timing.full(li);
+        }
+
+        busy_ps[li] += (served - 1) * s + ser_served + ovh;
         if T::ENABLED {
             sink.record(TraceEvent::TrainHop {
                 msg: MsgId(mi),
                 hop: u32::from(ev.hop),
                 link,
-                packets: pcount,
+                packets: served,
                 arrive_ns: ps_to_ns(t),
                 first_start_ns: ps_to_ns(st0),
                 last_start_ns: ps_to_ns(start_last),
@@ -1271,15 +1426,15 @@ pub(crate) fn run<D: TransferDag + ?Sized, T: TraceSink>(
             if !stl.used {
                 touched.push(li as u32);
             }
-            stl.free = start_last + ser_last + ovh;
+            stl.free = start_last + ser_served + ovh;
             stl.used = true;
-            stl.last_at = a_last;
+            stl.last_at = a_served;
             stl.last_rank = ev.rank;
             stl.last_msg = ev.msg;
             stl.split = false;
             stl.owner_arr.clear();
             stl.owner_starts.clear();
-            if !flat_instant {
+            if a_served != t {
                 stl.owner = ev.msg;
                 stl.owner_hop = ev.hop;
                 let v = curves.view(msgs[mi].curve);
@@ -1302,6 +1457,12 @@ pub(crate) fn run<D: TransferDag + ?Sized, T: TraceSink>(
                 hop: ev.hop + 1,
                 gen: 0,
             });
+        } else if TIMED && msgs[mi].truncated {
+            // A truncated train's packets reach the destination, each on
+            // winning this link, but the message never completes.
+            msgs[mi].curve = CurveRef::EMPTY;
+            tally.delivered_bytes[mi] += served * cfg.packet_bytes;
+            tally.end_ps = tally.end_ps.max(start_last + timing.full(li) + hop_lat);
         } else {
             // Final hop: the train's last packet is delivered after its full
             // serialization plus the hop latency. Delivery (and dependent
@@ -1327,7 +1488,7 @@ pub(crate) fn run<D: TransferDag + ?Sized, T: TraceSink>(
                 .route(l)
                 .iter()
                 .copied()
-                .find(|&lk| !link_carries(cfg, mesh, lk))
+                .find(|&lk| !link_carries(net, mesh, lk))
         });
         return Err(NocError::Stalled {
             pending_msgs: n - delivered,
@@ -1337,7 +1498,7 @@ pub(crate) fn run<D: TransferDag + ?Sized, T: TraceSink>(
             stalled_at_ns: last_progress / 1000,
         });
     }
-    if injected < n {
+    if !tally.interrupted && injected < n {
         return Err(NocError::DependencyCycle {
             stuck: n - injected,
         });
@@ -1345,10 +1506,12 @@ pub(crate) fn run<D: TransferDag + ?Sized, T: TraceSink>(
     for &li in touched.iter() {
         let li = li as usize;
         busy[li] = ps_to_ns(busy_ps[li]);
+        if deaths.is_some() {
+            // Each link's busy intervals end by its final free time.
+            tally.end_ps = tally.end_ps.max(links[li].free);
+        }
     }
-    Ok(Attempt::Done {
-        makespan_ps: last_progress,
-    })
+    Ok(Attempt::Done(tally))
 }
 
 #[cfg(test)]
@@ -1555,7 +1718,7 @@ mod tests {
         for i in 0..50u32 {
             q.push(mk(u64::from(i) * 17, i));
         }
-        // Drain half, then abandon (a Contended abort mid-run).
+        // Drain half, then abandon (a declined pass mid-run).
         for _ in 0..25 {
             q.pop().unwrap();
         }

@@ -53,12 +53,10 @@ pub struct NocConfig {
     /// flaps defer packets until the link comes back up.
     pub faults: FaultModel,
     /// Timed fault arrivals applied mid-run (empty in the healthy and
-    /// statically-degraded configurations). Only the per-packet engine can
-    /// honor a non-empty timeline — the flit engine rejects it with
-    /// [`NocError::Unsupported`](crate::NocError::Unsupported), and
-    /// `SimMode::Auto` keeps a coalesced run only if it completes before
-    /// the earliest death on its routes, otherwise draining the whole DAG
-    /// per packet. Timeline deaths are permanent, unlike
+    /// statically-degraded configurations). Both packet engines honor a
+    /// non-empty timeline (see [`crate::online`]); the flit engine rejects
+    /// it with [`NocError::Unsupported`](crate::NocError::Unsupported).
+    /// Timeline deaths are permanent, unlike
     /// [`LinkFlap`](meshcoll_topo::LinkFlap) windows.
     pub timeline: FaultTimeline,
 }
@@ -116,18 +114,46 @@ impl NocConfig {
     /// Bandwidth of a specific link (bytes/ns), honoring overrides and any
     /// degradation recorded in [`faults`](Self::faults).
     pub fn bandwidth_of(&self, link: LinkId) -> f64 {
-        let base = self
-            .link_overrides
-            .iter()
-            .find(|(l, _)| *l == link)
-            .map_or(self.link_bandwidth, |&(_, bw)| bw);
-        base * self.faults.degradation(link)
+        Net::of(self).bandwidth_of(link)
     }
 
     /// Serialization time of `bytes` over a specific link, in ns.
     #[inline]
     pub fn serialization_on(&self, link: LinkId, bytes: u64) -> f64 {
         bytes as f64 / self.bandwidth_of(link)
+    }
+}
+
+/// One run's network: a configuration under a fault model and a timeline,
+/// its own or an online segment's overlay and remaining timeline, so a
+/// resumed segment runs without a copy of the configuration.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Net<'a> {
+    pub(crate) cfg: &'a NocConfig,
+    pub(crate) faults: &'a FaultModel,
+    pub(crate) timeline: &'a FaultTimeline,
+}
+
+impl<'a> Net<'a> {
+    /// `cfg` under its own fault model and timeline.
+    pub(crate) fn of(cfg: &'a NocConfig) -> Self {
+        Net {
+            cfg,
+            faults: &cfg.faults,
+            timeline: &cfg.timeline,
+        }
+    }
+
+    /// Bandwidth of `link` (bytes/ns): its override or the configured
+    /// bandwidth, times its degradation under this run's fault model.
+    pub(crate) fn bandwidth_of(&self, link: LinkId) -> f64 {
+        let base = self
+            .cfg
+            .link_overrides
+            .iter()
+            .find(|(l, _)| *l == link)
+            .map_or(self.cfg.link_bandwidth, |&(_, bw)| bw);
+        base * self.faults.degradation(link)
     }
 }
 

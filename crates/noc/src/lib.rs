@@ -72,8 +72,8 @@ pub use config::NocConfig;
 pub use error::NocError;
 pub use flit_sim::FlitSim;
 pub use message::{Message, MsgId, MAX_MESSAGES};
-pub use online::{splice_outcomes, DrainSnapshot, OnlineReport};
-pub use packet_sim::{PacketSim, SimMode};
+pub use online::{splice_outcomes, DrainSnapshot, OnlineReport, ReportDiff};
+pub use packet_sim::{Decline, Engine, PacketSim, SimMode};
 pub use stats::{LatencySummary, LinkStats, SimOutcome};
 pub use time::{ns_to_ps, ps_to_ns};
 pub use trace::{JsonlSink, MemorySink, NullSink, RingSink, TraceEvent, TraceSink};

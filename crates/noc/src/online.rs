@@ -20,24 +20,36 @@
 //!   the suffix on the surviving topology.
 //! * There is no separate online engine: the run follows the same rule as
 //!   a static one (see [`PacketSim`]). Under [`SimMode::Auto`](crate::SimMode)
-//!   one fast-path pass over the whole DAG is kept iff its makespan is at or
-//!   before the earliest death on the DAG's routes (every packet start
-//!   precedes its own delivery, so no start lands in a dead window), and
-//!   such a run is never interrupted. Otherwise the whole DAG drains
-//!   through the per-packet loop with the death times armed, so the drain
-//!   clock, the byte tally and every drop are that loop's own.
+//!   one fast-path pass over the whole DAG applies the death rule to whole
+//!   trains — it drops the suffix of a train whose starts reach its link's
+//!   death and withholds messages released after a death on their route —
+//!   and fills the drain tally the per-packet loop fills, so its snapshot is
+//!   that loop's bit for bit. A split the pass cannot prove under the
+//!   deaths ([`Decline::DyingLink`](crate::Decline::DyingLink),
+//!   [`Decline::Truncated`](crate::Decline::Truncated)) and transient flaps
+//!   drain the whole DAG through the per-packet loop with the death times
+//!   armed.
+//!   [`OnlineReport::engine`] names the engine that ran, and
+//!   [`OnlineReport::first_difference`] finds the first value on which two
+//!   reports disagree.
+//! * A repaired suffix resumes under the drained overlay and the remaining
+//!   timeline through [`PacketSim::simulate_dag_under`], on the same
+//!   simulator's pooled scratch.
 //!
 //! Schedule-level repair and resume orchestration live above the NoC (in
 //! `meshcoll-collectives` and `meshcoll-sim`); this module's contract ends
 //! at the drained snapshot plus [`splice_outcomes`] for merging the
 //! per-segment results of a resumed run.
 
+use std::fmt;
+
 use meshcoll_topo::{FaultEvent, FaultModel, FaultTimeline, LinkId, Mesh};
 
+use crate::config::Net;
 use crate::message::MessageDag;
 use crate::time::{ns_to_ps, ps_to_ns};
 use crate::trace::{TraceEvent, TraceSink};
-use crate::{LinkStats, Message, MsgId, NocError, PacketSim, SimOutcome};
+use crate::{Engine, LinkStats, Message, MsgId, NocError, PacketSim, SimOutcome};
 
 /// The drained state of a run interrupted by a timed fault arrival: what
 /// completed, what was lost, and the world the repaired suffix must run in.
@@ -102,9 +114,137 @@ pub struct OnlineReport {
     /// finished before the deaths, or the deaths missed every route);
     /// otherwise the drained snapshot for the repair layer.
     pub interruption: Option<DrainSnapshot>,
+    /// The engine that produced the result.
+    pub engine: Engine,
+}
+
+/// The first value on which two reports of one DAG differ, as
+/// [`OnlineReport::first_difference`] finds it.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ReportDiff {
+    /// The value: `"completion"`, `"busy_ns"`, `"interrupted"`, or a
+    /// [`DrainSnapshot`] field's name.
+    pub field: &'static str,
+    /// The message (completions and per-message snapshot fields) or link
+    /// (busy time) the value belongs to.
+    pub index: Option<usize>,
+    /// The first report's value, formatted.
+    pub left: String,
+    /// The second report's value, formatted.
+    pub right: String,
+}
+
+impl fmt::Display for ReportDiff {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{}", self.field)?;
+        if let Some(i) = self.index {
+            write!(f, "[{i}]")?;
+        }
+        write!(f, " is {} against {}", self.left, self.right)
+    }
+}
+
+/// A [`ReportDiff`] when `same` is false.
+fn differ<T: fmt::Debug>(
+    field: &'static str,
+    index: Option<usize>,
+    (left, right): (T, T),
+    same: bool,
+) -> Option<ReportDiff> {
+    (!same).then(|| ReportDiff {
+        field,
+        index,
+        left: format!("{left:?}"),
+        right: format!("{right:?}"),
+    })
+}
+
+/// The first position where two per-item lists differ under `same`.
+fn first_item<T: fmt::Debug + Copy>(
+    field: &'static str,
+    a: &[T],
+    b: &[T],
+    same: impl Fn(T, T) -> bool,
+) -> Option<ReportDiff> {
+    let len = differ(field, None, (a.len(), b.len()), a.len() == b.len());
+    len.or_else(|| {
+        a.iter()
+            .zip(b)
+            .enumerate()
+            .find_map(|(i, (&x, &y))| differ(field, Some(i), (x, y), same(x, y)))
+    })
 }
 
 impl OnlineReport {
+    /// The first value on which this report and `other`, two runs of one
+    /// DAG on `mesh`, differ: each completion and each link's busy time bit
+    /// for bit, whether the run was interrupted, then every
+    /// [`DrainSnapshot`] field in declaration order (times bit for bit).
+    /// `None` when they agree on all of them; the engine that produced
+    /// each report is not compared.
+    pub fn first_difference(&self, mesh: &Mesh, other: &OnlineReport) -> Option<ReportDiff> {
+        let bits = |x: f64, y: f64| x.to_bits() == y.to_bits();
+        let busy = |o: &SimOutcome| -> Vec<f64> {
+            mesh.links()
+                .map(|(_, _, l)| o.link_stats().busy_ns(l))
+                .collect()
+        };
+        let (a, b) = (&self.outcome, &other.outcome);
+        if let Some(d) = first_item("completion", a.completions(), b.completions(), bits) {
+            return Some(d);
+        }
+        if let Some(mut d) = first_item("busy_ns", &busy(a), &busy(b), bits) {
+            // Name the link, not its position in the mesh's link order.
+            d.index = d
+                .index
+                .and_then(|i| mesh.links().nth(i))
+                .map(|(_, _, l)| l.index());
+            return Some(d);
+        }
+        let (a, b) = match (&self.interruption, &other.interruption) {
+            (Some(a), Some(b)) => (a, b),
+            (a, b) => {
+                let flags = (a.is_some(), b.is_some());
+                return differ("interrupted", None, flags, flags.0 == flags.1);
+            }
+        };
+        // One snapshot field, compared with `same` (times bit for bit).
+        macro_rules! field {
+            ($name:ident, $same:expr) => {
+                || {
+                    differ(
+                        stringify!($name),
+                        None,
+                        (&a.$name, &b.$name),
+                        $same(&a.$name, &b.$name),
+                    )
+                }
+            };
+            ($name:ident) => {
+                field!($name, |x, y| x == y)
+            };
+        }
+        let time = |x: &f64, y: &f64| bits(*x, *y);
+        field!(first_fault_ns, time)()
+            .or_else(field!(drain_ns, time))
+            .or_else(|| first_item("delivered", &a.delivered, &b.delivered, |x, y| x == y))
+            .or_else(|| {
+                first_item(
+                    "delivered_bytes",
+                    &a.delivered_bytes,
+                    &b.delivered_bytes,
+                    |x, y| x == y,
+                )
+            })
+            .or_else(field!(lost_bytes))
+            .or_else(field!(lost_msgs))
+            .or_else(field!(faults_applied))
+            .or_else(field!(overlay))
+            .or_else(field!(remaining))
+            .or_else(field!(first_lost_msg))
+            .or_else(field!(first_dead_link))
+    }
+
     /// The outcome of a run that completed; an interrupted run becomes the
     /// stall error a completion-only caller (one that cannot repair)
     /// reports ([`DrainSnapshot::into_stall_error`]).
@@ -120,10 +260,14 @@ impl OnlineReport {
     }
 }
 
-/// Drain bookkeeping of one per-packet run under a timeline: bytes each
-/// message delivered, what was lost, and the drain clock. Stays empty — and
-/// allocation-free — for static runs and kept fast-path runs. Times are in
-/// ps.
+/// The tie-order key of the event that carried a packet to a link:
+/// `(time, rank, message, packet)` in ps, as [`crate::time`] defines it.
+pub(crate) type PacketKey = (u64, u64, u32, u64);
+
+/// Drain bookkeeping of one run under a timeline, filled alike by the
+/// per-packet loop and by a fast-path pass: bytes each message delivered,
+/// what was lost, and the drain clock. Stays empty — and allocation-free —
+/// for static runs. Times are in ps.
 #[derive(Debug, Default)]
 pub(crate) struct DrainTally {
     /// Per message: payload bytes that reached the destination.
@@ -133,11 +277,20 @@ pub(crate) struct DrainTally {
     /// busy-interval ends: the run's drain clock.
     pub(crate) end_ps: u64,
     pub(crate) interrupted: bool,
-    /// Earliest in-flight drop: (time, message, dead link).
-    pub(crate) first_drop: Option<(u64, MsgId, LinkId)>,
+    /// First in-flight drop, ordered by drop time and then by the key of
+    /// the dropped packet's own event: (time, key, message, dead link).
+    pub(crate) first_drop: Option<(u64, PacketKey, MsgId, LinkId)>,
 }
 
 impl DrainTally {
+    /// An empty tally for a timeline run of `n` messages.
+    pub(crate) fn timed(n: usize) -> Self {
+        DrainTally {
+            delivered_bytes: vec![0; n],
+            ..DrainTally::default()
+        }
+    }
+
     /// A message withheld at `at` because a route link had already died.
     /// The withhold decision is activity at `at`, so the drain clock must
     /// cover it (it is what guarantees `apply_through(drain_ns)` folds the
@@ -147,13 +300,26 @@ impl DrainTally {
         self.end_ps = self.end_ps.max(at);
     }
 
-    /// A packet of `msg` dropped at `at` on the dead `link`.
-    pub(crate) fn drop_packet(&mut self, at: u64, msg: MsgId, link: LinkId, bytes: u64) {
+    /// Packets of `msg` dropped on the dead `link`, `bytes` in all: the
+    /// first at `first_at` from the event keyed `key`, the last at
+    /// `last_at`. The per-packet loop drops one packet per call, in key
+    /// order; the fast path drops a train's suffix at once.
+    pub(crate) fn drop_packets(
+        &mut self,
+        (first_at, key): (u64, PacketKey),
+        last_at: u64,
+        msg: MsgId,
+        link: LinkId,
+        bytes: u64,
+    ) {
         self.interrupted = true;
         self.lost_bytes += bytes;
-        self.end_ps = self.end_ps.max(at);
-        if self.first_drop.is_none_or(|(t, _, _)| at < t) {
-            self.first_drop = Some((at, msg, link));
+        self.end_ps = self.end_ps.max(last_at);
+        if self
+            .first_drop
+            .is_none_or(|(t, k, _, _)| (first_at, key) < (t, k))
+        {
+            self.first_drop = Some((first_at, key, msg, link));
         }
     }
 }
@@ -225,88 +391,89 @@ impl PacketSim {
     ) -> Result<OnlineReport, NocError> {
         self.simulate_dag(mesh, &MessageDag(messages), sink)
     }
+}
 
-    /// Each link's death time in ps under the configured timeline, or
-    /// `None` for a static run (an empty timeline).
-    pub(crate) fn death_times(&self, mesh: &Mesh) -> Result<Option<Vec<u64>>, NocError> {
-        if self.cfg.timeline.is_empty() {
-            return Ok(None);
-        }
-        self.cfg.timeline.validate(mesh)?;
-        Ok(Some(link_death_times(mesh, &self.cfg.timeline)))
+/// Each link's death time in ps under `timeline`, or `None` for a static run
+/// (an empty timeline).
+pub(crate) fn death_times(
+    mesh: &Mesh,
+    timeline: &FaultTimeline,
+) -> Result<Option<Vec<u64>>, NocError> {
+    if timeline.is_empty() {
+        return Ok(None);
+    }
+    timeline.validate(mesh)?;
+    Ok(Some(link_death_times(mesh, timeline)))
+}
+
+/// Wraps a finished run on `net` as a report: uninterrupted runs as they
+/// are, an interrupted one with the drained snapshot (fault arrivals and
+/// the drain traced into `sink`).
+pub(crate) fn drain_report<T: TraceSink>(
+    net: Net<'_>,
+    outcome: SimOutcome,
+    tally: DrainTally,
+    engine: Engine,
+    sink: &mut T,
+) -> OnlineReport {
+    if !tally.interrupted {
+        return OnlineReport {
+            outcome,
+            interruption: None,
+            engine,
+        };
     }
 
-    /// Wraps a finished run as a report: uninterrupted runs as they are,
-    /// an interrupted one with the drained snapshot (fault arrivals and the
-    /// drain traced into `sink`).
-    pub(crate) fn drain_report<T: TraceSink>(
-        &self,
-        outcome: SimOutcome,
-        tally: DrainTally,
-        sink: &mut T,
-    ) -> OnlineReport {
-        if !tally.interrupted {
-            return OnlineReport {
-                outcome,
-                interruption: None,
-            };
-        }
-
-        let drain_ns = ps_to_ns(tally.end_ps);
-        if T::ENABLED {
-            for e in self.cfg.timeline.events() {
-                if e.at_ns() <= drain_ns {
-                    let (link, node) = match *e {
-                        FaultEvent::LinkDiesAt { link, .. } => (Some(link), None),
-                        FaultEvent::ChipletDiesAt { node, .. } => (None, Some(node)),
-                    };
-                    sink.record(TraceEvent::FaultArrival {
-                        link,
-                        node,
-                        at_ns: e.at_ns(),
-                    });
-                }
+    let drain_ns = ps_to_ns(tally.end_ps);
+    if T::ENABLED {
+        for e in net.timeline.events() {
+            if e.at_ns() <= drain_ns {
+                let (link, node) = match *e {
+                    FaultEvent::LinkDiesAt { link, .. } => (Some(link), None),
+                    FaultEvent::ChipletDiesAt { node, .. } => (None, Some(node)),
+                };
+                sink.record(TraceEvent::FaultArrival {
+                    link,
+                    node,
+                    at_ns: e.at_ns(),
+                });
             }
         }
-        let mut overlay = self.cfg.faults.clone();
-        let mut remaining = self.cfg.timeline.clone();
-        let faults_applied = remaining.apply_through(drain_ns, &mut overlay);
-        let delivered: Vec<bool> = outcome.completions().iter().map(|c| !c.is_nan()).collect();
-        let lost_msgs = delivered.iter().filter(|&&d| !d).count();
-        let first_fault_ns = self
-            .cfg
-            .timeline
-            .first_at_ns()
-            .unwrap_or(drain_ns)
-            .min(drain_ns);
-        if T::ENABLED {
-            sink.record(TraceEvent::Drain {
-                at_ns: drain_ns,
-                lost_msgs: lost_msgs as u64,
-                lost_bytes: tally.lost_bytes,
-            });
-        }
-        let first_lost_msg = tally
-            .first_drop
-            .map(|(_, m, _)| m)
-            .or_else(|| delivered.iter().position(|&d| !d).map(MsgId));
-        let snapshot = DrainSnapshot {
-            first_fault_ns,
-            drain_ns,
-            delivered,
-            delivered_bytes: tally.delivered_bytes,
+    }
+    let mut overlay = net.faults.clone();
+    let mut remaining = net.timeline.clone();
+    let faults_applied = remaining.apply_through(drain_ns, &mut overlay);
+    let delivered: Vec<bool> = outcome.completions().iter().map(|c| !c.is_nan()).collect();
+    let lost_msgs = delivered.iter().filter(|&&d| !d).count();
+    let first_fault_ns = net.timeline.first_at_ns().unwrap_or(drain_ns).min(drain_ns);
+    if T::ENABLED {
+        sink.record(TraceEvent::Drain {
+            at_ns: drain_ns,
+            lost_msgs: lost_msgs as u64,
             lost_bytes: tally.lost_bytes,
-            lost_msgs,
-            faults_applied,
-            overlay,
-            remaining,
-            first_lost_msg,
-            first_dead_link: tally.first_drop.map(|(_, _, l)| l),
-        };
-        OnlineReport {
-            outcome,
-            interruption: Some(snapshot),
-        }
+        });
+    }
+    let first_lost_msg = tally
+        .first_drop
+        .map(|(_, _, m, _)| m)
+        .or_else(|| delivered.iter().position(|&d| !d).map(MsgId));
+    let snapshot = DrainSnapshot {
+        first_fault_ns,
+        drain_ns,
+        delivered,
+        delivered_bytes: tally.delivered_bytes,
+        lost_bytes: tally.lost_bytes,
+        lost_msgs,
+        faults_applied,
+        overlay,
+        remaining,
+        first_lost_msg,
+        first_dead_link: tally.first_drop.map(|(_, _, _, l)| l),
+    };
+    OnlineReport {
+        outcome,
+        interruption: Some(snapshot),
+        engine,
     }
 }
 
@@ -485,6 +652,45 @@ mod tests {
             per.outcome.completion_ns(MsgId(1)).unwrap(),
         );
         assert_eq!(a.to_bits(), p.to_bits(), "auto {a} vs per-packet {p}");
+    }
+
+    #[test]
+    fn first_difference_names_the_first_differing_value() {
+        let mesh = Mesh::new(1, 2).unwrap();
+        let link = mesh.link_between(NodeId(0), NodeId(1)).unwrap();
+        let mut c = cfg();
+        c.timeline.link_dies_at(link, 700.0);
+        let msgs = vec![Message::new(MsgId(0), NodeId(0), NodeId(1), 8192 * 4)];
+        let cut = PacketSim::new(c)
+            .simulate_online(&mesh, &msgs, &mut NullSink)
+            .unwrap();
+        let per_packet = PacketSim::new(cfg())
+            .with_mode(SimMode::PerPacket)
+            .simulate_online(&mesh, &msgs, &mut NullSink)
+            .unwrap();
+        // Same values from different engines: no difference.
+        let mut same = cut.clone();
+        same.engine = per_packet.engine;
+        assert_eq!(cut.first_difference(&mesh, &same), None);
+
+        let diff = cut.first_difference(&mesh, &per_packet).unwrap();
+        assert_eq!((diff.field, diff.index), ("completion", Some(0)));
+
+        let mut later = cut.clone();
+        later.interruption.as_mut().unwrap().drain_ns += 1e-9;
+        let diff = cut.first_difference(&mesh, &later).unwrap();
+        assert_eq!((diff.field, diff.index), ("drain_ns", None));
+
+        let mut short = cut.clone();
+        short.interruption.as_mut().unwrap().delivered_bytes[0] -= 1;
+        let diff = cut.first_difference(&mesh, &short).unwrap();
+        assert_eq!((diff.field, diff.index), ("delivered_bytes", Some(0)));
+        assert!(diff.to_string().starts_with("delivered_bytes[0] is "));
+
+        let mut whole = cut.clone();
+        whole.interruption = None;
+        let diff = cut.first_difference(&mesh, &whole).unwrap();
+        assert_eq!((diff.field, diff.left.as_str()), ("interrupted", "true"));
     }
 
     #[test]

@@ -41,15 +41,18 @@
 //! Every run — static or under a
 //! [`FaultTimeline`](meshcoll_topo::FaultTimeline), traced or not — follows
 //! one rule. Under [`SimMode::Auto`] without transient flaps, one coalescer
-//! pass runs over the whole DAG, and its result is kept iff it completes
-//! with every delivery at or before the earliest timeline death on the
-//! DAG's routes (∞ for static runs): every packet start precedes its own
-//! delivery, so no start of a kept run lands in a dead window. A traced
+//! pass runs over the whole DAG and its result is kept unless it declines.
+//! Under a timeline the pass applies the per-packet loop's death rule to
+//! whole trains and fills the same drain tally (see
+//! [`crate::coalesce`]), so a kept pass drains exactly as that loop would;
+//! static runs carry no death times and skip every death check. A traced
 //! pass is buffered, so a declined one leaves no partial trace. Otherwise —
 //! a decline, a fast-path error, a flap, or [`SimMode::PerPacket`] — the
 //! whole DAG runs once through the per-packet loop, in place on the same
 //! outcome buffers, and its result or typed error is returned unchanged. A
-//! declined run is therefore bit-identical to `SimMode::PerPacket`.
+//! declined run is therefore bit-identical to `SimMode::PerPacket`. The
+//! report's [`Engine`] names the engine that ran and, for a per-packet
+//! run, the [`Decline`] site that sent it there.
 //!
 //! All per-run working memory — route tables, coalescer curves/events,
 //! outcome buffers — lives in pools on the `PacketSim` and is
@@ -63,11 +66,12 @@ use std::collections::BinaryHeap;
 use std::ops::Range;
 use std::sync::{Arc, Mutex};
 
-use meshcoll_topo::{LinkId, Mesh, RouteCache, TransferDag};
+use meshcoll_topo::{FaultModel, FaultTimeline, LinkId, Mesh, RouteCache, TransferDag};
 
 use crate::coalesce::{self, Attempt, WorkScratch};
+use crate::config::Net;
 use crate::message::{validate_one, MessageDag};
-use crate::online::{DrainTally, OnlineReport};
+use crate::online::{death_times, drain_report, DrainTally, OnlineReport};
 use crate::time::{link_carries, ns_to_ps, ps_to_ns, rank, LinkTiming, DELIVER, HOP, INJECT};
 use crate::trace::{MemorySink, NullSink, TraceEvent, TraceSink};
 use crate::{LinkStats, Message, MsgId, NetworkSim, NocConfig, NocError, SimOutcome};
@@ -83,6 +87,46 @@ pub enum SimMode {
     Auto,
     /// Always run the exact per-packet reference engine.
     PerPacket,
+}
+
+/// Which engine produced a run's result.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Engine {
+    /// The packet-train fast path carried the whole DAG.
+    Trains,
+    /// The whole DAG ran through the per-packet loop, for this reason.
+    PerPacket(Decline),
+}
+
+/// Why a run did not keep the packet-train fast path: the site that
+/// declined it (the fast path's tiers are described in the `coalesce`
+/// module).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[non_exhaustive]
+pub enum Decline {
+    /// [`SimMode::PerPacket`] selects the reference engine.
+    Mode,
+    /// Transient link flaps are configured.
+    Flaps,
+    /// A zero header latency: an event could create a same-instant event
+    /// that sorts before it.
+    ZeroHeaderLatency,
+    /// A route longer than a train event's hop index can hold.
+    LongRoute,
+    /// A second interloper in one committed window.
+    SecondInterloper,
+    /// A split whose re-served window reaches its link's death.
+    DyingLink,
+    /// A split whose owner or interloper lost packets to a death upstream.
+    Truncated,
+    /// An interloper whose own packets arrive over time (a sloped train).
+    SlopedInterloper,
+    /// An interloper inside a window with no splittable owner.
+    UnownedWindow,
+    /// An owner whose next hop (or delivery) is already committed.
+    OwnerCommitted,
+    /// The fast path returned an error; the per-packet run reports it.
+    Error,
 }
 
 /// The event-driven packet-granularity simulator. See the module docs.
@@ -191,15 +235,31 @@ impl ScratchPools {
     }
 }
 
-/// Earliest death (ps) among the links the DAG's routes traverse.
-fn earliest_death(setup: &RunSetup, death: &[u64]) -> u64 {
-    setup
-        .unique
-        .iter()
-        .flat_map(|route| route.iter())
-        .map(|l| death[l.index()])
-        .min()
-        .unwrap_or(u64::MAX)
+/// A timeline run's death times in ps (`u64::MAX` where nothing dies).
+#[derive(Debug)]
+pub(crate) struct Deaths {
+    /// Per link id.
+    pub(crate) link: Vec<u64>,
+    /// Per unique route of the run: the earliest death among its links.
+    route: Vec<u64>,
+}
+
+impl Deaths {
+    fn new(link: Vec<u64>, setup: &RunSetup) -> Self {
+        let route = setup
+            .unique
+            .iter()
+            .map(|r| r.iter().map(|l| link[l.index()]).min().unwrap_or(u64::MAX))
+            .collect();
+        Deaths { link, route }
+    }
+
+    /// Whether message `i`, released at `at`, routes over a link that has
+    /// already died: it belongs to the un-executed suffix and is withheld.
+    #[inline]
+    pub(crate) fn withholds(&self, setup: &RunSetup, i: usize, at: u64) -> bool {
+        self.route[setup.route_of[i] as usize] <= at
+    }
 }
 
 impl PacketSim {
@@ -322,11 +382,14 @@ impl PacketSim {
 
     /// Simulates any [`TransferDag`] in place — a message slice, a
     /// collective schedule, several schedules laid end to end — tracing
-    /// into `sink`. This is the one entry point behind every static and
+    /// into `sink`, under the configured fault model and timeline. With
+    /// [`simulate_dag_under`](PacketSim::simulate_dag_under), which takes
+    /// them as arguments, it is the one entry point behind every static and
     /// timeline run: [`simulate`](PacketSim::simulate),
     /// [`simulate_traced`](PacketSim::simulate_traced) and
     /// [`simulate_online`](PacketSim::simulate_online) wrap it for message
-    /// slices.
+    /// slices. The report's [`OnlineReport::engine`] names the engine that
+    /// ran.
     ///
     /// Without a [`FaultTimeline`](meshcoll_topo::FaultTimeline) the report
     /// is never interrupted. Under one, a timed fault that interrupts the
@@ -344,61 +407,99 @@ impl PacketSim {
         dag: &D,
         sink: &mut T,
     ) -> Result<OnlineReport, NocError> {
-        let mut rs = self.pools.take_run();
-        let run = self.prepare_into(mesh, dag, &mut rs).and_then(|()| {
-            let death = self.death_times(mesh)?;
-            self.run_prepared(mesh, dag, &rs.setup, death.as_deref(), sink)
-        });
-        self.pools.put_run(rs);
-        let (outcome, tally) = run?;
-        Ok(self.drain_report(outcome, tally, sink))
+        self.simulate_dag_under(mesh, dag, &self.cfg.faults, &self.cfg.timeline, sink)
     }
 
-    /// One run over a prepared DAG, static (`death` = `None`) or under the
-    /// timeline's per-link death times, by the module's one rule: under
-    /// [`SimMode::Auto`] without flaps, keep one fast-path pass over the
-    /// whole DAG if it completes by the earliest death on its routes, and
-    /// otherwise run the whole DAG through the per-packet loop and return
-    /// its result or typed error unchanged. A fast-path error (a static dead
-    /// route, a dependency cycle) also falls through, so typed errors are
-    /// always the reference engine's. A kept fast-path run is never
-    /// interrupted, so it carries an empty drain tally. `death` holds each
-    /// link's death time in ps (`u64::MAX` for links that never die).
-    fn run_prepared<D: TransferDag + ?Sized, T: TraceSink>(
+    /// Like [`simulate_dag`](PacketSim::simulate_dag), but under `faults`
+    /// and `timeline` in place of the configured fault model and timeline.
+    /// An online run's resumed segment runs this way, under the drained
+    /// overlay and the remaining timeline, on this simulator's own pooled
+    /// scratch rather than on a fresh simulator built from a copy of the
+    /// configuration.
+    ///
+    /// # Errors
+    ///
+    /// As for [`PacketSim::simulate_online`].
+    pub fn simulate_dag_under<D: TransferDag + ?Sized, T: TraceSink>(
         &self,
         mesh: &Mesh,
         dag: &D,
-        setup: &RunSetup,
-        death: Option<&[u64]>,
+        faults: &FaultModel,
+        timeline: &FaultTimeline,
         sink: &mut T,
-    ) -> Result<(SimOutcome, DrainTally), NocError> {
-        let (mut completion, mut stats) = self.outcome_buffers(mesh, dag.len());
-        if self.mode == SimMode::Auto && self.cfg.faults.flaps().is_empty() {
-            let bound = death.map(|d| earliest_death(setup, d));
-            let kept = self.run_fast(
+    ) -> Result<OnlineReport, NocError> {
+        let net = Net {
+            cfg: &self.cfg,
+            faults,
+            timeline,
+        };
+        let mut rs = self.pools.take_run();
+        let run = self.prepare_into(net, mesh, dag, &mut rs).and_then(|()| {
+            let deaths = death_times(mesh, timeline)?.map(|d| Deaths::new(d, &rs.setup));
+            self.run_prepared(net, mesh, dag, &rs.setup, deaths.as_ref(), sink)
+        });
+        self.pools.put_run(rs);
+        let (outcome, tally, engine) = run?;
+        Ok(drain_report(net, outcome, tally, engine, sink))
+    }
+
+    /// One run over a prepared DAG, static (`deaths` = `None`) or under a
+    /// timeline's death times, by the module's one rule: under
+    /// [`SimMode::Auto`] without flaps, keep one fast-path pass over the
+    /// whole DAG unless it declines, and otherwise run the whole DAG through
+    /// the per-packet loop and return its result or typed error unchanged.
+    /// A fast-path error (a static dead route, a dependency cycle) also
+    /// falls through, so typed errors are always the reference engine's.
+    /// Either engine fills the drain tally the same way.
+    fn run_prepared<D: TransferDag + ?Sized, T: TraceSink>(
+        &self,
+        net: Net<'_>,
+        mesh: &Mesh,
+        dag: &D,
+        setup: &RunSetup,
+        deaths: Option<&Deaths>,
+        sink: &mut T,
+    ) -> Result<(SimOutcome, DrainTally, Engine), NocError> {
+        let (mut completion, mut stats) = self.outcome_buffers(mesh, net.faults, dag.len());
+        let declined = if self.mode == SimMode::PerPacket {
+            Decline::Mode
+        } else if !net.faults.flaps().is_empty() {
+            Decline::Flaps
+        } else {
+            let fast = self.run_fast(
+                net,
                 mesh,
                 dag,
                 setup,
-                bound,
+                deaths,
                 &mut completion,
                 stats.busy_mut(),
                 sink,
             );
-            if matches!(kept, Ok(true)) {
-                return Ok((SimOutcome::new(completion, stats), DrainTally::default()));
+            match fast {
+                Ok(Attempt::Done(tally)) => {
+                    return Ok((SimOutcome::new(completion, stats), tally, Engine::Trains));
+                }
+                Ok(Attempt::Declined(site)) => site,
+                Err(_) => Decline::Error,
             }
-        }
+        };
         let run = self.run_per_packet_into(
+            net,
             mesh,
             dag,
             setup,
-            death,
+            deaths,
             &mut completion,
             stats.busy_mut(),
             sink,
         );
         match run {
-            Ok(tally) => Ok((SimOutcome::new(completion, stats), tally)),
+            Ok(tally) => Ok((
+                SimOutcome::new(completion, stats),
+                tally,
+                Engine::PerPacket(declined),
+            )),
             Err(e) => {
                 self.pools.put_outcome((completion, stats.into_busy()));
                 Err(e)
@@ -407,54 +508,48 @@ impl PacketSim {
     }
 
     /// One coalescer pass over the whole DAG on pooled scratch, into the
-    /// caller's buffers (`busy` zeroed). Returns whether the result is
-    /// kept: the pass completed, with its makespan at or before `bound` (ps)
-    /// when one is given. A traced pass is buffered, so `sink` receives its
-    /// events only when it is kept; a declined pass leaves partial results
-    /// in the buffers.
+    /// caller's buffers (`busy` zeroed), under `deaths` when given. A traced
+    /// pass is buffered, so `sink` receives its events only when the pass
+    /// completes; a declined pass leaves partial results in the buffers.
     #[allow(clippy::too_many_arguments)]
     fn run_fast<D: TransferDag + ?Sized, T: TraceSink>(
         &self,
+        net: Net<'_>,
         mesh: &Mesh,
         dag: &D,
         setup: &RunSetup,
-        bound: Option<u64>,
+        deaths: Option<&Deaths>,
         completion: &mut [f64],
         busy: &mut [f64],
         sink: &mut T,
-    ) -> Result<bool, NocError> {
+    ) -> Result<Attempt, NocError> {
         let mut ws = self.pools.take_work();
         let mut buf = MemorySink::new();
         let attempt = if T::ENABLED {
             coalesce::run(
-                &self.cfg, mesh, dag, setup, &mut ws, completion, busy, &mut buf,
+                net, mesh, dag, setup, deaths, &mut ws, completion, busy, &mut buf,
             )
         } else {
-            coalesce::run(&self.cfg, mesh, dag, setup, &mut ws, completion, busy, sink)
+            coalesce::run(
+                net, mesh, dag, setup, deaths, &mut ws, completion, busy, sink,
+            )
         };
         self.pools.put_work(ws);
-        let kept = match attempt? {
-            Attempt::Done { makespan_ps } => bound.is_none_or(|b| makespan_ps <= b),
-            Attempt::Contended => false,
-        };
-        if kept {
+        if let Ok(Attempt::Done(_)) = attempt {
             for ev in buf.events() {
                 sink.record(*ev);
             }
         }
-        Ok(kept)
+        attempt
     }
 
-    /// Pooled outcome buffers for a run of `n` messages: completions unset
-    /// (NaN), busy time zeroed.
-    fn outcome_buffers(&self, mesh: &Mesh, n: usize) -> (Vec<f64>, LinkStats) {
+    /// Pooled outcome buffers for a run of `n` messages under `faults`:
+    /// completions unset (NaN), busy time zeroed.
+    fn outcome_buffers(&self, mesh: &Mesh, faults: &FaultModel, n: usize) -> (Vec<f64>, LinkStats) {
         let (mut completion, busy) = self.pools.take_outcome();
         completion.clear();
         completion.resize(n, f64::NAN);
-        (
-            completion,
-            LinkStats::recycled(mesh, &self.cfg.faults, busy),
-        )
+        (completion, LinkStats::recycled(mesh, faults, busy))
     }
 
     /// Runs the exact per-packet reference engine unconditionally.
@@ -478,11 +573,13 @@ impl PacketSim {
         sink: &mut T,
     ) -> Result<SimOutcome, NocError> {
         let dag = MessageDag(messages);
+        let net = Net::of(&self.cfg);
         let mut rs = self.pools.take_run();
-        let result = self.prepare_into(mesh, &dag, &mut rs).and_then(|()| {
+        let result = self.prepare_into(net, mesh, &dag, &mut rs).and_then(|()| {
             let mut completion = vec![f64::NAN; messages.len()];
             let mut stats = LinkStats::new(mesh, &self.cfg.faults);
             self.run_per_packet_into(
+                net,
                 mesh,
                 &dag,
                 &rs.setup,
@@ -497,7 +594,8 @@ impl PacketSim {
         result
     }
 
-    /// Attempts only the coalescing fast path on the whole DAG, returning
+    /// Attempts only the coalescing fast path on the whole DAG, under the
+    /// static fault model (the timeline is not applied), returning
     /// `Ok(None)` when it declines (interleaved contention, or transient
     /// flaps configured) and the fast path's own typed error otherwise.
     /// Used by the equivalence tests to assert which engine actually ran.
@@ -526,13 +624,16 @@ impl PacketSim {
         sink: &mut T,
     ) -> Result<Option<SimOutcome>, NocError> {
         let dag = MessageDag(messages);
+        let net = Net::of(&self.cfg);
         let mut rs = self.pools.take_run();
-        let result = self.prepare_into(mesh, &dag, &mut rs).and_then(|()| {
+        let result = self.prepare_into(net, mesh, &dag, &mut rs).and_then(|()| {
             if !self.cfg.faults.flaps().is_empty() {
                 return Ok(None);
             }
-            let (mut completion, mut stats) = self.outcome_buffers(mesh, messages.len());
-            let kept = self.run_fast(
+            let (mut completion, mut stats) =
+                self.outcome_buffers(mesh, &self.cfg.faults, messages.len());
+            let fast = self.run_fast(
+                net,
                 mesh,
                 &dag,
                 &rs.setup,
@@ -541,11 +642,11 @@ impl PacketSim {
                 stats.busy_mut(),
                 sink,
             );
-            if matches!(kept, Ok(true)) {
+            if let Ok(Attempt::Done(_)) = fast {
                 return Ok(Some(SimOutcome::new(completion, stats)));
             }
             self.pools.put_outcome((completion, stats.into_busy()));
-            kept.map(|_| None)
+            fast.map(|_| None)
         });
         self.pools.put_run(rs);
         result
@@ -562,6 +663,7 @@ impl PacketSim {
     /// checks first, then node-range checks — one sweep instead of two).
     fn prepare_into<D: TransferDag + ?Sized>(
         &self,
+        net: Net<'_>,
         mesh: &Mesh,
         dag: &D,
         rs: &mut RunScratch,
@@ -594,7 +696,7 @@ impl PacketSim {
                 if u == u32::MAX {
                     let r = self.routes.route(mesh, src, dst, self.cfg.routing)?;
                     u = setup.unique.len() as u32;
-                    unique_blocked.push(r.iter().any(|&l| !link_carries(&self.cfg, mesh, l)));
+                    unique_blocked.push(r.iter().any(|&l| !link_carries(net, mesh, l)));
                     setup.unique.push(r);
                     memo[slot] = u;
                 }
@@ -617,7 +719,7 @@ impl PacketSim {
                     std::collections::hash_map::Entry::Vacant(e) => {
                         let r = self.routes.route(mesh, src, dst, self.cfg.routing)?;
                         let u = setup.unique.len() as u32;
-                        unique_blocked.push(r.iter().any(|&l| !link_carries(&self.cfg, mesh, l)));
+                        unique_blocked.push(r.iter().any(|&l| !link_carries(net, mesh, l)));
                         setup.unique.push(r);
                         *e.insert(u)
                     }
@@ -633,10 +735,10 @@ impl PacketSim {
     /// DAG's run whenever the fast path is not kept. Overwrites `completion`
     /// (one entry per message) and `busy` (one per link id).
     ///
-    /// With `death` = `None` it simulates the static fault model. Under a
-    /// timeline's per-link death times (ps) it additionally drops a packet
-    /// whose link-win time falls at or past its link's death, withholds a
-    /// message that becomes ready after a route link has died (never
+    /// With `deaths` = `None` it simulates the static fault model. Under a
+    /// timeline's death times it additionally drops a packet whose link-win
+    /// time falls at or past its link's death, withholds a message that
+    /// becomes ready at or after the death of a link on its route (never
     /// injecting it), and tallies delivered/lost bytes and the drain clock.
     /// Static-fault stalls and watchdog trips stay typed errors either way.
     ///
@@ -648,10 +750,11 @@ impl PacketSim {
     #[allow(clippy::too_many_arguments)]
     fn run_per_packet_into<D: TransferDag + ?Sized, T: TraceSink>(
         &self,
+        net: Net<'_>,
         mesh: &Mesh,
         dag: &D,
         setup: &RunSetup,
-        death: Option<&[u64]>,
+        deaths: Option<&Deaths>,
         completion: &mut [f64],
         busy: &mut [f64],
         sink: &mut T,
@@ -664,7 +767,6 @@ impl PacketSim {
         const STALL_BUDGET_SLACK: u64 = 16;
         let n = dag.len();
         let blocked = &setup.blocked;
-        let faults = &self.cfg.faults;
         completion.fill(f64::NAN);
 
         // Per-message state, plus each message's dependents in one CSR slab
@@ -718,13 +820,13 @@ impl PacketSim {
             .sum::<u64>()
             .saturating_add(STALL_BUDGET_SLACK);
         let mut timing = LinkTiming::default();
-        timing.reset(&self.cfg, mesh);
+        timing.reset(net, mesh);
         let mut st = PacketLoop {
-            cfg: &self.cfg,
+            net,
             dag,
             setup,
-            death,
-            flaps: !faults.flaps().is_empty(),
+            death: deaths.map(|d| &d.link[..]),
+            flaps: !net.faults.flaps().is_empty(),
             timing,
             msgs,
             link_free: vec![0; mesh.link_id_space()],
@@ -732,11 +834,8 @@ impl PacketSim {
             queue: BinaryHeap::new(),
             injections: 0,
             served: 0,
-            tally: DrainTally::default(),
+            tally: deaths.map_or_else(DrainTally::default, |_| DrainTally::timed(n)),
         };
-        if death.is_some() {
-            st.tally.delivered_bytes.resize(n, 0);
-        }
 
         let mut injected = 0usize;
         let mut stalled = 0usize;
@@ -745,9 +844,7 @@ impl PacketSim {
         // A message becoming ready at `at` after a route link has already
         // died belongs to the un-executed suffix: it is withheld rather
         // than injected to die downstream.
-        let dies = |i: usize, at: u64| {
-            death.is_some_and(|d| setup.route(i).iter().any(|&l| d[l.index()] <= at))
-        };
+        let dies = |i: usize, at: u64| deaths.is_some_and(|d| d.withholds(setup, i, at));
 
         for (i, &is_blocked) in blocked.iter().enumerate() {
             if st.msgs[i].pending == 0 {
@@ -779,18 +876,18 @@ impl PacketSim {
                 // Injections pop in key order; each takes the next age.
                 st.injections += 1;
                 st.msgs[mi].age = st.injections;
-                st.serve(sink, mi, 0..st.msgs[mi].count, 0, ev.at);
+                st.serve(sink, mi, 0..st.msgs[mi].count, 0, (ev.at, ev.rank));
                 continue;
             }
             if (ev.hop as usize) < setup.route(mi).len() {
                 let p = u64::from(ev.packet);
-                st.serve(sink, mi, p..p + 1, ev.hop, ev.at);
+                st.serve(sink, mi, p..p + 1, ev.hop, (ev.at, ev.rank));
                 continue;
             }
             // The message's last packet is delivered at its destination.
             st.served += 1;
             st.msgs[mi].left -= 1;
-            if death.is_some() {
+            if deaths.is_some() {
                 st.tally.delivered_bytes[mi] += st.msgs[mi].last_bytes;
                 st.tally.end_ps = st.tally.end_ps.max(ev.at);
             }
@@ -854,7 +951,7 @@ impl PacketSim {
                     .route(i)
                     .iter()
                     .copied()
-                    .find(|&l| !link_carries(&self.cfg, mesh, l))
+                    .find(|&l| !link_carries(net, mesh, l))
             });
             return Err(NocError::Stalled {
                 pending_msgs: n - delivered,
@@ -921,9 +1018,10 @@ struct MsgRun {
 /// The state of one per-packet run that injecting and serving packets
 /// share (see [`PacketSim::run_per_packet_into`]). Every time is in ps.
 struct PacketLoop<'a, D: ?Sized> {
-    cfg: &'a NocConfig,
+    net: Net<'a>,
     dag: &'a D,
     setup: &'a RunSetup,
+    /// Death time per link id under a timeline, ps.
     death: Option<&'a [u64]>,
     /// Whether any transient flap is configured (else `available_at` is the
     /// identity and is skipped).
@@ -973,7 +1071,7 @@ impl<D: TransferDag + ?Sized> PacketLoop<'_, D> {
         let mut at = ready;
         loop {
             let ns = ps_to_ns(at);
-            let up = self.cfg.faults.available_at(link, ns);
+            let up = self.net.faults.available_at(link, ns);
             if up <= ns {
                 return at;
             }
@@ -982,20 +1080,21 @@ impl<D: TransferDag + ?Sized> PacketLoop<'_, D> {
     }
 
     /// Packets `packets` of message `mi` arrive at route link `hop` at `at`
-    /// and win it FIFO, in packet order: a burst's whole message at hop 0,
-    /// or one packet at a later hop. A transient flap defers a packet until
-    /// the link's next up window. A packet that wins its final link and is
-    /// not the message's last is delivered on the spot: its delivery only
-    /// counts down the message's undelivered packets and folds
-    /// order-independent sums and maxima into the tally, and it always
-    /// lands before the last packet's, which stays a queue event.
+    /// from an event of rank `rank`, and win it FIFO, in packet order: a
+    /// burst's whole message at hop 0, or one packet at a later hop. A
+    /// transient flap defers a packet until the link's next up window. A
+    /// packet that wins its final link and is not the message's last is
+    /// delivered on the spot: its delivery only counts down the message's
+    /// undelivered packets and folds order-independent sums and maxima into
+    /// the tally, and it always lands before the last packet's, which stays
+    /// a queue event.
     fn serve<T: TraceSink>(
         &mut self,
         sink: &mut T,
         mi: usize,
         packets: Range<u64>,
         hop: u32,
-        at: u64,
+        (at, rank_at): (u64, u64),
     ) {
         let route = self.setup.route(mi);
         let link = route[hop as usize];
@@ -1018,7 +1117,7 @@ impl<D: TransferDag + ?Sized> PacketLoop<'_, D> {
         for packet in packets {
             self.served += 1;
             let (bytes, ser) = if packet + 1 < count {
-                (self.cfg.packet_bytes, self.timing.full(li))
+                (self.net.cfg.packet_bytes, self.timing.full(li))
             } else {
                 (last_bytes, self.timing.ser(li, last_bytes))
             };
@@ -1031,8 +1130,10 @@ impl<D: TransferDag + ?Sized> PacketLoop<'_, D> {
             if let Some(d) = death.filter(|&d| start >= d) {
                 // The link died before this packet could win it; the
                 // packet is lost where it stands.
-                let at = at.max(d);
-                self.tally.drop_packet(at, MsgId(mi), link, bytes);
+                let dropped = at.max(d);
+                let key = (at, rank_at, mi as u32, packet);
+                self.tally
+                    .drop_packets((dropped, key), dropped, MsgId(mi), link, bytes);
                 if T::ENABLED {
                     sink.record(TraceEvent::PacketDrop {
                         msg: MsgId(mi),
@@ -1040,7 +1141,7 @@ impl<D: TransferDag + ?Sized> PacketLoop<'_, D> {
                         hop,
                         link,
                         bytes,
-                        at_ns: ps_to_ns(at),
+                        at_ns: ps_to_ns(dropped),
                     });
                 }
                 continue;

@@ -48,7 +48,7 @@
 
 use meshcoll_topo::{LinkId, Mesh};
 
-use crate::NocConfig;
+use crate::config::Net;
 
 /// Picoseconds per nanosecond.
 const PS_PER_NS: f64 = 1000.0;
@@ -99,9 +99,11 @@ const MAX_SERVICE_NS: f64 = 4_503_599_627_370.496;
 /// [`MAX_SERVICE_NS`]. A zero or near-zero bandwidth (a `0.0` override, or
 /// a degradation to almost nothing) would push the picosecond clock past
 /// its range, so the engines treat such a link like a dead one.
-pub(crate) fn link_carries(cfg: &NocConfig, mesh: &Mesh, link: LinkId) -> bool {
-    let bw = cfg.bandwidth_of(link);
-    cfg.faults.link_usable(mesh, link) && bw > 0.0 && cfg.packet_bytes as f64 / bw < MAX_SERVICE_NS
+pub(crate) fn link_carries(net: Net<'_>, mesh: &Mesh, link: LinkId) -> bool {
+    let bw = net.bandwidth_of(link);
+    net.faults.link_usable(mesh, link)
+        && bw > 0.0
+        && net.cfg.packet_bytes as f64 / bw < MAX_SERVICE_NS
 }
 
 /// Serialization time of `bytes` over a link of `bandwidth` bytes/ns: the
@@ -163,11 +165,12 @@ pub(crate) struct LinkTiming {
 }
 
 impl LinkTiming {
-    /// Re-fills the tables for a run of `cfg` on `mesh`, keeping capacity.
-    pub(crate) fn reset(&mut self, cfg: &NocConfig, mesh: &Mesh) {
+    /// Re-fills the tables for a run on `net` over `mesh`, keeping capacity.
+    pub(crate) fn reset(&mut self, net: Net<'_>, mesh: &Mesh) {
+        let cfg = net.cfg;
         self.bw.clear();
         self.bw
-            .extend((0..mesh.link_id_space()).map(|i| cfg.bandwidth_of(LinkId(i))));
+            .extend((0..mesh.link_id_space()).map(|i| net.bandwidth_of(LinkId(i))));
         // Links mostly share one bandwidth: round once per run of equal ones.
         let mut last = (f64::NAN, 0, 0);
         self.full.clear();
@@ -208,6 +211,7 @@ impl LinkTiming {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::NocConfig;
 
     #[test]
     fn table_ii_quantities_are_exact() {
@@ -247,7 +251,7 @@ mod tests {
             cfg.link_overrides.push((*l, bw));
         }
         let mut t = LinkTiming::default();
-        t.reset(&cfg, &mesh);
+        t.reset(Net::of(&cfg), &mesh);
         let mut x = 0x9e37_79b9_7f4a_7c15_u64;
         for _ in 0..20_000 {
             x ^= x << 13;

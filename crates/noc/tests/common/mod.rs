@@ -3,8 +3,9 @@
 
 #![allow(dead_code)]
 
-use meshcoll_noc::{Message, MsgId, NocConfig};
-use meshcoll_topo::{LinkFlap, Mesh, NodeId};
+use meshcoll_collectives::Schedule;
+use meshcoll_noc::{Message, MsgId, NocConfig, PacketSim};
+use meshcoll_topo::{FaultTimeline, LinkFlap, LinkId, Mesh, NodeId};
 
 /// Splitmix-style deterministic generator — same seed, same DAG, on every
 /// platform.
@@ -244,6 +245,76 @@ pub fn corpus() -> Vec<Case> {
         ("dependency chain", dependency_chain()),
     ] {
         push(name.to_string(), paper(), &mesh, msgs);
+    }
+    out
+}
+
+/// Lowers a schedule to its message DAG, one message per op.
+pub fn lower(s: &Schedule) -> Vec<Message> {
+    s.op_ids()
+        .map(|id| {
+            let op = s.op(id);
+            Message::new(MsgId(id.0 as usize), op.src, op.dst, op.bytes)
+                .with_deps(s.deps(id).iter().map(|d| MsgId(d.0 as usize)))
+        })
+        .collect()
+}
+
+/// The healthy run of `msgs` under `cfg`'s static faults: its makespan,
+/// ns, and its links from busiest to idlest. A run that fails (a static
+/// dead route) yields no makespan and the links in id order.
+pub fn healthy_profile(
+    cfg: &NocConfig,
+    mesh: &Mesh,
+    msgs: &[Message],
+) -> (Option<f64>, Vec<LinkId>) {
+    let mut links: Vec<LinkId> = mesh.links().map(|(_, _, l)| l).collect();
+    let Ok(out) = PacketSim::new(cfg.clone()).simulate(mesh, msgs) else {
+        return (None, links);
+    };
+    let busy = |l: LinkId| out.link_stats().busy_ns(l);
+    links.sort_by(|&a, &b| busy(b).total_cmp(&busy(a)).then(a.cmp(&b)));
+    (Some(out.makespan_ns()), links)
+}
+
+/// The timed faults the online corpus runs each case under, named. The
+/// busiest link, then the source chiplet of that link, dies at 0, at 25,
+/// 50 and 75 % of the healthy makespan, and after completion; then two
+/// deaths at different times (the busiest link at 20 %, the next busiest
+/// at 60 %). Every death time is a whole nanosecond, so halving it is
+/// exact.
+pub fn timelines(
+    mesh: &Mesh,
+    makespan_ns: f64,
+    busiest: &[LinkId],
+) -> Vec<(String, FaultTimeline)> {
+    let at = |frac: f64| (frac * makespan_ns).round();
+    let fracs = [
+        (0.0, "0"),
+        (0.25, "25%"),
+        (0.5, "50%"),
+        (0.75, "75%"),
+        (2.0, "after"),
+    ];
+    let mut out = Vec::new();
+    let link = busiest[0];
+    let node = mesh.link_endpoints(link).0;
+    for (frac, label) in fracs {
+        let mut tl = FaultTimeline::new();
+        tl.link_dies_at(link, at(frac));
+        out.push((format!("link {} dies at {label}", link.index()), tl));
+        let mut tl = FaultTimeline::new();
+        tl.chiplet_dies_at(node, at(frac));
+        out.push((format!("chiplet {} dies at {label}", node.index()), tl));
+    }
+    if let Some(&second) = busiest.get(1) {
+        let mut tl = FaultTimeline::new();
+        tl.link_dies_at(link, at(0.2));
+        tl.link_dies_at(second, at(0.6));
+        out.push((
+            format!("links {} and {} die", link.index(), second.index()),
+            tl,
+        ));
     }
     out
 }

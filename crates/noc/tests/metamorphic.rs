@@ -7,19 +7,25 @@
 //!   completion and every (mirrored) link's busy time unchanged;
 //! * transposing mesh and DAG while swapping XY↔YX routing does too;
 //! * doubling every bandwidth while halving the header latency, the
-//!   per-packet overhead, every ready time and every flap window halves
-//!   every completion, every link's busy time and the makespan.
+//!   per-packet overhead, every ready time, every flap window and every
+//!   timed death halves every completion, every link's busy time, the
+//!   makespan and an interrupted run's drain and first-fault clocks.
+//!
+//! Under a timeline a link or chiplet death follows its link or node, and
+//! every other field of the drain snapshot (delivered messages and bytes,
+//! lost bytes and messages, the first lost message and dead link) must
+//! come out unchanged.
 //!
 //! Each runs over the equivalence corpus and over every applicable
 //! benchmark algorithm's schedule on 4x4 and 5x5 at 1 and 4 MiB, under both
-//! `SimMode`s.
+//! `SimMode`s, and both again under the online corpus's timed deaths.
 
 mod common;
 
-use meshcoll_collectives::{Algorithm, Applicability, Schedule};
-use meshcoll_noc::{Message, MsgId, NocConfig, NocError, PacketSim, SimMode, SimOutcome};
+use meshcoll_collectives::{Algorithm, Applicability};
+use meshcoll_noc::{Message, NocConfig, NocError, NullSink, OnlineReport, PacketSim, SimMode};
 use meshcoll_topo::routing::RoutingAlgorithm;
-use meshcoll_topo::{Coord, FaultModel, LinkFlap, LinkId, Mesh, NodeId};
+use meshcoll_topo::{Coord, FaultEvent, FaultModel, FaultTimeline, LinkFlap, LinkId, Mesh, NodeId};
 
 /// A relabelling of one mesh's nodes onto another mesh's.
 struct Relabel {
@@ -100,9 +106,20 @@ impl Relabel {
     }
 
     /// `cfg` carried onto the image mesh: every per-link and per-node
-    /// setting follows its link or node, and flap windows scale with time.
+    /// setting follows its link or node, and flap windows and timed deaths
+    /// scale with time.
     fn config(&self, cfg: &NocConfig, time_scale: f64) -> NocConfig {
-        assert!(cfg.timeline.is_empty(), "the corpus has no timelines");
+        let mut timeline = FaultTimeline::new();
+        for e in cfg.timeline.events() {
+            match *e {
+                FaultEvent::LinkDiesAt { link, t_ns } => {
+                    timeline.link_dies_at(self.link(link), t_ns * time_scale);
+                }
+                FaultEvent::ChipletDiesAt { node, t_ns } => {
+                    timeline.chiplet_dies_at(self.node(node), t_ns * time_scale);
+                }
+            }
+        }
         let mut faults = FaultModel::default();
         for n in self.from.node_ids() {
             if cfg.faults.node_failed(n) {
@@ -132,39 +149,68 @@ impl Relabel {
                 .map(|&(l, bw)| (self.link(l), bw))
                 .collect(),
             faults,
+            timeline,
             ..cfg.clone()
         }
     }
 }
 
-/// A run's completions and its busy time per source-mesh link (read on the
-/// image link), or its error.
-type Run = Result<(Vec<f64>, Vec<f64>), String>;
+/// What a run reports, read back on the source mesh: its completions; its
+/// times (the completions, each source link's busy time read on its image,
+/// and an interrupted run's drain and first-fault clocks); and its drain's
+/// counts (delivered messages and bytes, lost bytes and messages, faults
+/// applied, the first lost message and the first dead link's source link).
+/// Or its error.
+struct Seen {
+    completions: Vec<f64>,
+    times: Vec<f64>,
+    counts: Vec<u64>,
+}
+
+type Run = Result<Seen, String>;
 
 fn run(mode: SimMode, cfg: &NocConfig, relabel: &Relabel, msgs: &[Message]) -> Run {
     let sim = PacketSim::new(cfg.clone()).with_mode(mode);
-    let read = |o: SimOutcome| {
-        let busy = relabel
-            .links()
-            .iter()
-            .map(|&(_, image)| o.link_stats().busy_ns(image))
-            .collect();
-        (o.completions().to_vec(), busy)
+    let links = relabel.links();
+    let read = |r: OnlineReport| {
+        let o = &r.outcome;
+        let mut times = o.completions().to_vec();
+        times.extend(
+            links
+                .iter()
+                .map(|&(_, image)| o.link_stats().busy_ns(image)),
+        );
+        let mut counts = Vec::new();
+        if let Some(s) = &r.interruption {
+            times.extend([s.drain_ns, s.first_fault_ns]);
+            counts.extend(s.delivered.iter().map(|&d| u64::from(d)));
+            counts.extend(&s.delivered_bytes);
+            counts.extend([s.lost_bytes, s.lost_msgs as u64, s.faults_applied as u64]);
+            counts.push(s.first_lost_msg.map_or(u64::MAX, |m| m.index() as u64));
+            let source = |image: LinkId| links.iter().find(|l| l.1 == image).map(|l| l.0);
+            counts.push(
+                s.first_dead_link
+                    .and_then(source)
+                    .map_or(u64::MAX, |l| l.index() as u64),
+            );
+        }
+        Seen {
+            completions: o.completions().to_vec(),
+            times,
+            counts,
+        }
     };
-    sim.simulate(&relabel.to, msgs)
+    sim.simulate_online(&relabel.to, msgs, &mut NullSink)
         .map(read)
         .map_err(|e: NocError| format!("{e:?}"))
 }
 
-/// Bit patterns of a run, every value scaled by `scale` (a power of two,
-/// so scaling is exact).
+/// Bit patterns of a run, every time scaled by `scale` (a power of two,
+/// so scaling is exact), then its counts.
 fn bits(run: &Run, scale: f64) -> Result<Vec<u64>, ()> {
-    let (completions, busy) = run.as_ref().map_err(|_| ())?;
-    Ok(completions
-        .iter()
-        .chain(busy)
-        .map(|v| (v * scale).to_bits())
-        .collect())
+    let seen = run.as_ref().map_err(|_| ())?;
+    let times = seen.times.iter().map(|v| (v * scale).to_bits());
+    Ok(times.chain(seen.counts.iter().copied()).collect())
 }
 
 /// Runs all three checks on one case under both engine modes.
@@ -210,9 +256,13 @@ fn check(name: &str, cfg: &NocConfig, mesh: &Mesh, msgs: &[Message]) {
             want,
             "{what}: doubled speed does not halve every time"
         );
-        if let (Ok((c, _)), Ok((d, _))) = (&base, &doubled) {
+        if let (Ok(b), Ok(d)) = (&base, &doubled) {
             let span = |v: &[f64]| v.iter().copied().fold(0.0, f64::max);
-            assert_eq!(span(d).to_bits(), (span(c) / 2.0).to_bits(), "{what}");
+            assert_eq!(
+                span(&d.completions).to_bits(),
+                (span(&b.completions) / 2.0).to_bits(),
+                "{what}"
+            );
         }
     }
 }
@@ -222,17 +272,6 @@ fn equivalence_corpus_is_metamorphic() {
     for case in common::corpus() {
         check(&case.name, &case.cfg, &case.mesh, &case.msgs);
     }
-}
-
-/// Lowers a schedule to its message DAG, one message per op.
-fn lower(s: &Schedule) -> Vec<Message> {
-    s.op_ids()
-        .map(|id| {
-            let op = s.op(id);
-            Message::new(MsgId(id.0 as usize), op.src, op.dst, op.bytes)
-                .with_deps(s.deps(id).iter().map(|d| MsgId(d.0 as usize)))
-        })
-        .collect()
 }
 
 #[test]
@@ -248,8 +287,54 @@ fn benchmark_schedules_are_metamorphic() {
                     .schedule(&mesh, data)
                     .unwrap_or_else(|e| panic!("{algo} on {mesh}: {e}"));
                 let name = format!("{algo} {}MiB on {mesh}", data >> 20);
-                check(&name, &NocConfig::paper_default(), &mesh, &lower(&s));
+                check(
+                    &name,
+                    &NocConfig::paper_default(),
+                    &mesh,
+                    &common::lower(&s),
+                );
             }
+        }
+    }
+}
+
+/// Runs [`check`] on `msgs` under every timeline of the online corpus.
+fn check_online(name: &str, cfg: &NocConfig, mesh: &Mesh, msgs: &[Message]) {
+    let (makespan, busiest) = common::healthy_profile(cfg, mesh, msgs);
+    for (tl_name, timeline) in common::timelines(mesh, makespan.unwrap_or(10_000.0), &busiest) {
+        let cfg = NocConfig {
+            timeline,
+            ..cfg.clone()
+        };
+        check(&format!("{name}, {tl_name}"), &cfg, mesh, msgs);
+    }
+}
+
+#[test]
+fn online_corpus_is_metamorphic() {
+    for case in common::corpus() {
+        check_online(&case.name, &case.cfg, &case.mesh, &case.msgs);
+    }
+}
+
+#[test]
+fn benchmark_schedules_under_deaths_are_metamorphic() {
+    for n in [4, 5] {
+        let mesh = Mesh::square(n).unwrap();
+        for algo in Algorithm::BENCHMARKS {
+            if algo.applicability(&mesh) == Applicability::Inapplicable {
+                continue;
+            }
+            let s = algo
+                .schedule(&mesh, 1 << 20)
+                .unwrap_or_else(|e| panic!("{algo} on {mesh}: {e}"));
+            let name = format!("{algo} 1MiB on {mesh}");
+            check_online(
+                &name,
+                &NocConfig::paper_default(),
+                &mesh,
+                &common::lower(&s),
+            );
         }
     }
 }

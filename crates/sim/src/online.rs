@@ -18,17 +18,25 @@
 //! and unrecoverable partial sums all come back as the typed
 //! [`RunStatus::Infeasible`] — never a panic, never a stall.
 //!
+//! Every segment runs on the engine's own [`PacketSim`](meshcoll_noc::PacketSim)
+//! and its pooled scratch, under the drained overlay and the remaining
+//! timeline passed in place of the configured ones.
+//!
 //! With [`OnlineOptions::audit`] set, every segment's trace is collected
 //! (with [`TraceEvent::Resume`] markers between segments) and replayed
 //! through [`InvariantAuditor::check_online_trace`], which checks
 //! conservation and drop accounting per segment plus causality across the
-//! splice boundaries.
+//! splice boundaries. That check reads packet hops, not train hops, so
+//! every segment is also re-run on the per-packet engine, whose
+//! completions, busy time and drain snapshot must equal the kept run's bit
+//! for bit (an [`EngineMismatch`](meshcoll_noc::Violation::EngineMismatch)
+//! otherwise).
 
 use meshcoll_collectives::online::{repair_suffix, SuffixContext};
 use meshcoll_collectives::{Algorithm, CollectiveError, CollectiveOp, ScheduleOptions};
 use meshcoll_noc::{
-    splice_outcomes, InvariantAuditor, MemorySink, NullSink, PacketSim, SimOutcome, TraceAudit,
-    TraceEvent,
+    splice_outcomes, Engine, InvariantAuditor, MemorySink, NullSink, SimMode, SimOutcome,
+    TraceAudit, TraceEvent, Violation,
 };
 use meshcoll_topo::{Mesh, NodeId};
 
@@ -44,8 +52,9 @@ pub struct OnlineOptions {
     /// it forever.
     pub max_repairs: usize,
     /// Collect every segment's trace and replay it through
-    /// [`InvariantAuditor::check_online_trace`] (slower; the verdict lands
-    /// in [`OnlineRun::audit`]).
+    /// [`InvariantAuditor::check_online_trace`], and re-run every segment on
+    /// the per-packet engine to check that it reports the kept run's values
+    /// bit for bit (slower; the verdict lands in [`OnlineRun::audit`]).
     pub audit: bool,
     /// Re-run the static analyzer on each repaired suffix before resuming
     /// it, rejecting provably-infeasible suffixes with [`SimError::Static`]
@@ -85,6 +94,8 @@ pub struct OnlineRun {
     /// The online trace audit, when [`OnlineOptions::audit`] was set and at
     /// least one segment executed.
     pub audit: Option<TraceAudit>,
+    /// The engine that carried each executed segment, in order.
+    pub engines: Vec<Engine>,
 }
 
 /// Mutable state the detect → drain → repair → resume loop threads through
@@ -94,8 +105,12 @@ struct OnlineLoop {
     executed: Vec<CollectiveOp>,
     /// Each executed segment's outcome, for the final splice.
     segments: Vec<SimOutcome>,
+    /// The engine of each executed segment.
+    engines: Vec<Engine>,
     /// Collected trace events (audit mode only).
     events: Vec<TraceEvent>,
+    /// Segments whose per-packet re-run differs (audit mode only).
+    mismatches: Vec<Violation>,
     /// Earliest-start time of the next segment, ns.
     resume_at: f64,
     /// Online repairs performed so far.
@@ -154,6 +169,7 @@ impl SimEngine {
                 status: static_status,
                 result: None,
                 audit: None,
+                engines: Vec::new(),
             });
         };
 
@@ -164,7 +180,9 @@ impl SimEngine {
         let mut st = OnlineLoop {
             executed: Vec::new(),
             segments: Vec::new(),
+            engines: Vec::new(),
             events: Vec::new(),
+            mismatches: Vec::new(),
             resume_at: 0.0,
             attempts: 0,
             repair_ns: 0.0,
@@ -173,11 +191,17 @@ impl SimEngine {
             first_fault_ns: None,
         };
 
+        let sim = self.packet_sim();
+        // Audited segments are re-run on the per-packet engine, sharing the
+        // same pools.
+        let reference = online
+            .audit
+            .then(|| sim.clone().with_mode(SimMode::PerPacket));
         loop {
-            let mut cfg = self.noc().clone();
-            cfg.faults = overlay.clone();
-            cfg.timeline = timeline.clone();
             if online.static_check {
+                let mut cfg = self.noc().clone();
+                cfg.faults = overlay.clone();
+                cfg.timeline = timeline.clone();
                 let report = meshcoll_analyzer::analyze(mesh, &schedule, &cfg);
                 if !report.is_feasible() {
                     return Err(SimError::Static {
@@ -185,27 +209,33 @@ impl SimEngine {
                     });
                 }
             }
-            let sim = PacketSim::new(cfg)
-                .with_route_cache(self.packet_sim().route_cache().clone())
-                .with_mode(self.packet_sim().mode());
             // The segment resumes in place: every op of the (repaired)
             // schedule becomes ready at the drain time.
             let parts = [(&schedule, st.resume_at)];
             let dag = PhasedDag::new(&parts);
-            if !st.segments.is_empty() && online.audit {
-                st.events.push(TraceEvent::Resume {
-                    at_ns: st.resume_at,
-                    suffix_msgs: schedule.len() as u64,
-                });
-            }
-            let report = if online.audit {
+            let report = if let Some(reference) = &reference {
+                if !st.segments.is_empty() {
+                    st.events.push(TraceEvent::Resume {
+                        at_ns: st.resume_at,
+                        suffix_msgs: schedule.len() as u64,
+                    });
+                }
                 let mut sink = MemorySink::new();
-                let r = sim.simulate_dag(mesh, &dag, &mut sink)?;
+                let r = sim.simulate_dag_under(mesh, &dag, &overlay, &timeline, &mut sink)?;
                 st.events.extend_from_slice(sink.events());
+                let per_packet =
+                    reference.simulate_dag_under(mesh, &dag, &overlay, &timeline, &mut NullSink)?;
+                if let Some(diff) = r.first_difference(mesh, &per_packet) {
+                    st.mismatches.push(Violation::EngineMismatch {
+                        segment: st.segments.len(),
+                        diff,
+                    });
+                }
                 r
             } else {
-                sim.simulate_dag(mesh, &dag, &mut NullSink)?
+                sim.simulate_dag_under(mesh, &dag, &overlay, &timeline, &mut NullSink)?
             };
+            st.engines.push(report.engine);
             st.segments.push(report.outcome);
 
             let Some(snap) = report.interruption else {
@@ -267,6 +297,7 @@ impl SimEngine {
             status,
             result: Some(RunResult::of(&spliced, makespan)),
             audit: self.online_audit(online, &st),
+            engines: st.engines,
         })
     }
 
@@ -282,16 +313,21 @@ impl SimEngine {
             status: RunStatus::Infeasible { reason },
             result: None,
             audit: self.online_audit(online, st),
+            engines: st.engines.clone(),
         }
     }
 
-    /// Replays the collected multi-segment trace through the online
-    /// auditor, when auditing was requested and anything executed.
+    /// Replays the collected multi-segment trace through the online auditor
+    /// and adds each segment's engine mismatch, when auditing was requested
+    /// and anything executed.
     fn online_audit(&self, online: &OnlineOptions, st: &OnlineLoop) -> Option<TraceAudit> {
         if !online.audit || st.events.is_empty() {
             return None;
         }
-        Some(InvariantAuditor::new().check_online_trace(&st.events))
+        let mut audit = InvariantAuditor::new().check_online_trace(&st.events);
+        audit.checks += st.segments.len();
+        audit.violations.extend(st.mismatches.iter().cloned());
+        Some(audit)
     }
 }
 
@@ -299,7 +335,7 @@ impl SimEngine {
 mod tests {
     use super::*;
     use meshcoll_collectives::Schedule;
-    use meshcoll_noc::NocConfig;
+    use meshcoll_noc::{NocConfig, PacketSim};
     use meshcoll_topo::Coord;
 
     const ALGOS: [Algorithm; 4] = [
@@ -394,6 +430,9 @@ mod tests {
             );
             let audit = run.audit.expect("audited run has a report");
             assert!(audit.is_clean(), "{a}: {:?}", audit.violations);
+            // The interrupted first segment drains on trains, and so does
+            // the resumed suffix.
+            assert_eq!(run.engines, [Engine::Trains; 2], "{a}");
         }
     }
 

@@ -4,8 +4,9 @@
 //! cleanly-audited online repair, or a typed infeasibility — and never
 //! panic, hang, or report a dirty invariant audit. The verdict and timing
 //! must also be reproducible: host time spent on repair never reaches the
-//! simulated result, and the per-packet loop alone agrees with the
-//! component driver.
+//! simulated result, and the per-packet loop alone reaches the same
+//! verdict and the same result bits as the default engine, whichever
+//! engine carried each segment.
 
 use meshcoll_collectives::{Algorithm, ScheduleOptions};
 use meshcoll_noc::NocConfig;
@@ -99,13 +100,14 @@ proptest! {
             .expect("second run_online call");
         prop_assert_eq!(verdict(&again.status), verdict(&run.status));
         prop_assert_eq!(bits(again.result.as_ref()), bits(run.result.as_ref()));
-        // The per-packet loop on its own reaches the verdict the component
-        // driver reaches with the fast path.
+        // The per-packet loop on its own reaches the verdict and the result
+        // the default engine reaches with the fast path.
         let per_packet = SimEngine::new(noc)
             .with_mode(SimMode::PerPacket)
             .run_online(&mesh, a, d, &opts(), &OnlineOptions::default())
             .expect("per-packet run_online");
         prop_assert_eq!(verdict(&per_packet.status), verdict(&run.status));
+        prop_assert_eq!(bits(per_packet.result.as_ref()), bits(run.result.as_ref()));
 
         match run.status {
             RunStatus::Completed => {
