@@ -18,8 +18,10 @@
 //!
 //! Every speedup here is measured against the per-packet reference, which
 //! itself queues one event per first-hop burst rather than one per
-//! packet-hop, so the ratios are modest where messages are short trains:
-//! TTO's 4-packet trains run only ~2x faster on the fast path.
+//! packet-hop and drains the same calendar queue as the fast path, so the
+//! ratios are modest where messages are short trains: on TTO's single-hop
+//! 4-packet trains both engines queue two events per message, and the fast
+//! path runs only ~1.1x faster.
 //!
 //! Results land in `BENCH_sim.json` (repo root by convention) so future
 //! changes to the engine can be diffed against this baseline. Pass

@@ -8,7 +8,10 @@
 //! per-packet work is pure overhead: the train's timing is fully determined
 //! by a small recurrence. This module advances whole trains, one event per
 //! (message, hop), collapsing the cost from O(packets × hops) to
-//! O(messages × hops).
+//! O(messages × hops). Both engines drain the same calendar queue
+//! ([`crate::calendar`]), so an event costs about the same in each and the
+//! fast path's saving is in how many it queues: on single-hop routes the
+//! per-packet engine already queues two events per message, as trains do.
 //!
 //! # The start-curve recurrence
 //!
@@ -87,8 +90,9 @@
 //! [`run`] simulates the whole message DAG entirely out of a caller-owned
 //! [`WorkScratch`]. All per-message state lives in one structure-of-runs
 //! array indexed by message id, start curves are committed into a
-//! structure-of-arrays [`CurveStore`] arena, the two-level event queue
-//! reuses its buckets, and completions/busy time are written into
+//! structure-of-arrays [`CurveStore`] arena, the calendar queue reuses its
+//! buckets and chunk slab (armed with a bucket per four train events of the
+//! run), and completions/busy time are written into
 //! caller-provided slices. After the scratch warms up (one run at each size
 //! high-water mark), steady-state runs perform **zero heap allocations** —
 //! asserted by `sim/tests/zero_alloc.rs` through the counting allocator in
@@ -96,6 +100,7 @@
 
 use meshcoll_topo::{Mesh, TransferDag};
 
+use crate::calendar::{horizon_ps, Calendar, Timed};
 use crate::config::Net;
 use crate::online::DrainTally;
 use crate::packet_sim::{last_packet_bytes, Deaths, RunSetup};
@@ -140,254 +145,16 @@ struct Event {
 }
 
 impl Event {
-    /// Filler for unused chunk slots.
-    const EMPTY: Event = Event {
-        at: 0,
-        rank: 0,
-        msg: 0,
-        hop: 0,
-        gen: 0,
-    };
-
     #[inline]
     fn is_delivery(self) -> bool {
         rank_class(self.rank) == DELIVER
     }
 }
 
-/// Events per bucket chunk.
-const CHUNK: usize = 8;
-/// The end of a chunk list.
-const NONE: u32 = u32::MAX;
-
-/// A fixed-size block of one bucket's events. A bucket is a linked list of
-/// chunks drawn from the queue's shared slab.
-#[derive(Debug, Clone, Copy)]
-struct Chunk {
-    events: [Event; CHUNK],
-    len: u32,
-    next: u32,
-}
-
-/// Two-level event queue tuned for wave-synchronous collective schedules.
-///
-/// The paper's congested schedules release trains in large same-instant
-/// waves, so a flat binary heap spends most of its time sifting through
-/// tens of thousands of far-future events. This queue buckets events by
-/// coarse time (O(1) push). The bucket being drained is sorted **once**
-/// into `active` and consumed by index — one contiguous `sort_unstable`
-/// per wave costs far less than per-event heap sifts on a wave-sized heap.
-/// Events pushed while a bucket drains (cut-through next-hop arrivals land
-/// a fraction of a bucket later) go to the small `overflow` heap, and
-/// `pop` takes the minimum of the two sources, so ordering is exact:
-/// `bucket(t1) < bucket(t2)` implies `t1 < t2`, same-bucket order is
-/// restored by the sort, and the overflow merge handles intra-bucket
-/// arrivals. Events past the estimated horizon clamp into the last bucket,
-/// degrading gracefully to sorted-array behaviour.
-///
-/// A bucket is a list of fixed-size chunks from one shared slab, and a
-/// drained bucket returns its chunks to the free list, so the queue's
-/// memory follows the events parked at once, not every event of the run.
-/// The queue is reusable: [`EventQueue::reset`] re-arms it for a new run
-/// without deallocating. `buckets` and the slab only ever grow;
-/// `nbuckets` is the logical prefix in use for the current run.
-#[derive(Debug, Default)]
-struct EventQueue {
-    inv_width: f64,
-    /// First and last chunk of each bucket (`NONE` when empty).
-    buckets: Vec<(u32, u32)>,
-    /// Logical bucket count for the current run (`<= buckets.len()`).
-    nbuckets: usize,
-    /// The chunk slab all buckets draw from, and its free chunks.
-    chunks: Vec<Chunk>,
-    free: Vec<u32>,
-    /// Drain floor: one past the bucket currently draining. Pushes into
-    /// buckets strictly before it go to `overflow`; event times never
-    /// precede the current drain time, so nothing is ever lost behind the
-    /// drain point. Starts at 0 so the initial injection wave parks in
-    /// buckets and gets batch-sorted instead of trickling through the
-    /// overflow one insert at a time. Kept tight (`cur + 1`, not advanced
-    /// over empty buckets) so in-flight events a few buckets out still
-    /// park in O(1) instead of paying a sorted-overflow insert.
-    floor: usize,
-    /// Refill's empty-bucket scan cursor: buckets in `floor..hint` were
-    /// empty when last inspected, and any later push into that range pulls
-    /// `hint` back down, so each refill resumes scanning from `hint`
-    /// instead of re-walking the same empty run.
-    hint: usize,
-    /// The current bucket's events, sorted ascending; `head` indexes the
-    /// next unconsumed one.
-    active: Vec<Event>,
-    head: usize,
-    /// Events pushed into the current (or an earlier) bucket mid-drain,
-    /// sorted ascending so the minimum pops from the front in O(1). It
-    /// stays small (tens of events — one bucket's cascade), and nearly
-    /// every push is either a same-instant cascade (the new minimum →
-    /// `push_front`) or a fresh delivery beyond everything pending (the new
-    /// maximum → `push_back`), so the ring buffer absorbs both ends in O(1)
-    /// and the interior binary-search insert is rare.
-    overflow: std::collections::VecDeque<Event>,
-    /// Events parked in buckets at or after `next`.
-    parked: usize,
-}
-
-impl EventQueue {
-    /// Re-arms the queue for a new run of `expected_events` over
-    /// `horizon_ps`, sweeping any events left by a declined pass.
-    fn reset(&mut self, horizon_ps: u64, expected_events: usize) {
-        if self.parked > 0 {
-            self.buckets[..self.nbuckets].fill((NONE, NONE));
-            self.free.clear();
-            self.free.extend(0..self.chunks.len() as u32);
-            self.parked = 0;
-        }
-        self.active.clear();
-        self.head = 0;
-        self.overflow.clear();
-        self.floor = 0;
-        self.hint = 0;
-        // Aim for a handful of events per bucket; the clamp bounds memory
-        // for degenerate inputs.
-        let nbuckets = (expected_events / 4).clamp(16, 1 << 19);
-        if nbuckets > self.buckets.len() {
-            self.buckets.resize(nbuckets, (NONE, NONE));
-        }
-        self.nbuckets = nbuckets;
-        let width = (horizon_ps as f64 / nbuckets as f64).max(1.0);
-        self.inv_width = 1.0 / width;
-    }
-
-    /// The bucket of time `at` (ps): monotone in `at`, so `bucket(t1) <
-    /// bucket(t2)` implies `t1 < t2`.
+impl Timed for Event {
     #[inline]
-    fn bucket_of(&self, at: u64) -> usize {
-        ((at as f64 * self.inv_width) as usize).min(self.nbuckets - 1)
-    }
-
-    #[inline]
-    fn push(&mut self, ev: Event) {
-        let b = self.bucket_of(ev.at);
-        if b < self.floor {
-            match self.overflow.front() {
-                Some(front) if ev < *front => self.overflow.push_front(ev),
-                None => self.overflow.push_front(ev),
-                _ => {
-                    if *self.overflow.back().expect("front exists") < ev {
-                        self.overflow.push_back(ev);
-                    } else {
-                        // Interior landings sit a few slots from the front
-                        // (behind the same-instant events draining now), so
-                        // a forward scan beats a binary search's scattered
-                        // probes through the ring buffer.
-                        let pos = self
-                            .overflow
-                            .iter()
-                            .position(|x| ev < *x)
-                            .expect("back is greater");
-                        self.overflow.insert(pos, ev);
-                    }
-                }
-            }
-        } else {
-            self.hint = self.hint.min(b);
-            let last = self.buckets[b].1;
-            match self.chunks.get_mut(last as usize) {
-                Some(c) if (c.len as usize) < CHUNK => {
-                    c.events[c.len as usize] = ev;
-                    c.len += 1;
-                }
-                _ => {
-                    let fresh = self.take_chunk(ev);
-                    if last == NONE {
-                        self.buckets[b] = (fresh, fresh);
-                    } else {
-                        self.chunks[last as usize].next = fresh;
-                        self.buckets[b].1 = fresh;
-                    }
-                }
-            }
-            self.parked += 1;
-        }
-    }
-
-    /// A chunk holding just `ev`: a free one, else a new one on the slab.
-    fn take_chunk(&mut self, ev: Event) -> u32 {
-        let mut events = [Event::EMPTY; CHUNK];
-        events[0] = ev;
-        let chunk = Chunk {
-            events,
-            len: 1,
-            next: NONE,
-        };
-        match self.free.pop() {
-            Some(c) => {
-                self.chunks[c as usize] = chunk;
-                c
-            }
-            None => {
-                self.chunks.push(chunk);
-                (self.chunks.len() - 1) as u32
-            }
-        }
-    }
-
-    /// Advances to the next non-empty bucket and sorts it into `active`.
-    /// Only sound when both `active` and `overflow` are exhausted — every
-    /// remaining event then lives in a bucket at or after `floor`.
-    fn refill(&mut self) {
-        debug_assert!(self.head == self.active.len() && self.overflow.is_empty());
-        if self.parked == 0 {
-            return;
-        }
-        let mut cur = self.hint.max(self.floor);
-        while self.buckets[cur].0 == NONE {
-            cur += 1;
-        }
-        self.floor = cur + 1;
-        self.hint = cur + 1;
-        self.active.clear();
-        self.head = 0;
-        let mut c = self.buckets[cur].0;
-        while c != NONE {
-            let chunk = &self.chunks[c as usize];
-            self.active
-                .extend_from_slice(&chunk.events[..chunk.len as usize]);
-            self.free.push(c);
-            c = chunk.next;
-        }
-        self.buckets[cur] = (NONE, NONE);
-        self.parked -= self.active.len();
-        self.active.sort_unstable();
-    }
-
-    #[inline]
-    fn pop(&mut self) -> Option<Event> {
-        loop {
-            match (self.active.get(self.head), self.overflow.front()) {
-                (Some(&a), Some(&o)) => {
-                    if a <= o {
-                        self.head += 1;
-                        return Some(a);
-                    }
-                    self.overflow.pop_front();
-                    return Some(o);
-                }
-                (Some(&a), None) => {
-                    self.head += 1;
-                    return Some(a);
-                }
-                (None, Some(&o)) => {
-                    self.overflow.pop_front();
-                    return Some(o);
-                }
-                (None, None) => {
-                    if self.parked == 0 {
-                        return None;
-                    }
-                    self.refill();
-                }
-            }
-        }
+    fn at(self) -> u64 {
+        self.at
     }
 }
 
@@ -751,7 +518,7 @@ pub(crate) struct WorkScratch {
     /// (fold-and-zero) so the buffer is all-zero between runs.
     busy_est: Vec<u64>,
     curves: CurveStore,
-    queue: EventQueue,
+    queue: Calendar<Event>,
     starts: Vec<Seg>,
     split_arr: Vec<Seg>,
     split_starts: Vec<Seg>,
@@ -800,10 +567,7 @@ impl WorkScratch {
             + (self.busy.capacity() + self.busy_est.capacity()) * size_of::<u64>()
             + (self.curves.k0.capacity() + self.curves.t.capacity() + self.curves.slope.capacity())
                 * size_of::<u64>()
-            + self.queue.buckets.capacity() * size_of::<(u32, u32)>()
-            + self.queue.chunks.capacity() * size_of::<Chunk>()
-            + self.queue.free.capacity() * size_of::<u32>()
-            + (self.queue.active.capacity() + self.queue.overflow.capacity()) * size_of::<Event>()
+            + self.queue.retained_bytes()
             + (self.starts.capacity()
                 + self.split_arr.capacity()
                 + self.split_starts.capacity()
@@ -822,7 +586,7 @@ impl WorkScratch {
 /// allocation-free.
 #[inline]
 fn inject_event<D: TransferDag + ?Sized, T: TraceSink>(
-    queue: &mut EventQueue,
+    queue: &mut Calendar<Event>,
     sink: &mut T,
     dag: &D,
     local: usize,
@@ -1000,18 +764,9 @@ fn run_pass<const TIMED: bool, D: TransferDag + ?Sized, T: TraceSink>(
         });
     }
 
-    // Size the event queue from an arrival-agnostic horizon estimate (the
-    // busiest link's total service time), folding-and-zeroing in one sweep
-    // over the link space so `busy_est` returns to all-zero for the next
-    // run. Underestimates only crowd the last bucket; order is unaffected
-    // either way.
-    let mut max_busy = 0u64;
-    for b in busy_est.iter_mut() {
-        max_busy = max_busy.max(*b);
-        *b = 0;
-    }
-    let horizon = max_ready.saturating_add(max_busy).saturating_mul(2);
-    queue.reset(horizon, expected_events);
+    // Arm the event queue over the horizon estimate, aiming for a handful
+    // of train events per bucket.
+    queue.reset(horizon_ps(busy_est, max_ready), expected_events / 4);
 
     // Dependents in CSR layout (offsets + one flat slab, counted during
     // Pass A): per-message Vecs would cost an allocation apiece. The fill
@@ -1663,76 +1418,5 @@ mod tests {
         let at_boundary = slice_curve(&arr, 6, 14);
         assert_eq!(at_boundary.len(), 2);
         assert_eq!(at_boundary[0].t, 20);
-    }
-
-    #[test]
-    fn events_pop_in_tie_order() {
-        // At one instant: deliveries, then later-hop arrivals, then
-        // injections, each by message id.
-        let mut q = EventQueue::default();
-        q.reset(1000, 40);
-        let mk = |at: u64, class: u64, msg: u32| Event {
-            at,
-            rank: rank(class, 0),
-            msg,
-            hop: 0,
-            gen: 0,
-        };
-        for ev in [
-            mk(500, INJECT, 1),
-            mk(500, HOP, 7),
-            mk(500, INJECT, 0),
-            mk(499, INJECT, 9),
-            mk(500, DELIVER, 3),
-            mk(500, HOP, 2),
-        ] {
-            q.push(ev);
-        }
-        let order: Vec<(u64, u32)> = std::iter::from_fn(|| q.pop())
-            .map(|e| (rank_class(e.rank), e.msg))
-            .collect();
-        assert_eq!(
-            order,
-            [
-                (INJECT, 9),
-                (DELIVER, 3),
-                (HOP, 2),
-                (HOP, 7),
-                (INJECT, 0),
-                (INJECT, 1)
-            ]
-        );
-    }
-
-    #[test]
-    fn event_queue_reset_reuses_buckets_and_sweeps_leftovers() {
-        let mut q = EventQueue::default();
-        q.reset(1000, 400);
-        let mk = |at: u64, msg: u32| Event {
-            at,
-            rank: rank(HOP, msg),
-            msg,
-            hop: 0,
-            gen: 0,
-        };
-        for i in 0..50u32 {
-            q.push(mk(u64::from(i) * 17, i));
-        }
-        // Drain half, then abandon (a declined pass mid-run).
-        for _ in 0..25 {
-            q.pop().unwrap();
-        }
-        let cap_before = q.buckets.len();
-        q.reset(100, 40);
-        assert_eq!(q.buckets.len(), cap_before, "buckets must never shrink");
-        assert!(q.pop().is_none(), "stale events must be swept");
-        // And the queue still orders correctly after reuse.
-        q.push(mk(30, 2));
-        q.push(mk(10, 1));
-        q.push(mk(95, 3));
-        assert_eq!(q.pop().unwrap().at, 10);
-        assert_eq!(q.pop().unwrap().at, 30);
-        assert_eq!(q.pop().unwrap().at, 95);
-        assert!(q.pop().is_none());
     }
 }

@@ -56,6 +56,7 @@
 //! checks conservation, causality, and link exclusivity; see [`audit`].
 
 pub mod audit;
+mod calendar;
 mod coalesce;
 mod config;
 mod error;

@@ -19,22 +19,24 @@
 //!
 //! Two engines implement these semantics, both on the integer picosecond
 //! clock of [`crate::time`], converting to `f64` ns only at the API
-//! boundary. The exact per-packet engine orders its events in one binary
-//! heap by the model's tie-order key `(time, class, age, message id,
-//! packet)`: deliveries before later-hop arrivals before injections, and
-//! oldest-injected first within a class; no event is ever ordered by when
-//! it was created. It queues one event per
-//! injected message (a burst that serves every packet's first link in
-//! packet order), one per later packet-hop, and one per message for its
-//! last packet's delivery; earlier packets are delivered as they win their
-//! final link. A burst's packets would carry consecutive keys as separate
-//! events, so nothing could sort between them. The packet-train coalescing
-//! fast path (see [`crate::coalesce`]) advances whole trains in
-//! O(messages × hops), decides every same-instant contention with the same
-//! key, and is used by default whenever no two trains interleave on a link
-//! beyond what its split tier can order. Where it runs, its completions and
-//! per-link busy time are bit-identical to the per-packet engine's. The
-//! [`SimMode`] policy selects between them.
+//! boundary, and both drain one kind of queue, the calendar of
+//! [`crate::calendar`], in the model's tie-order key `(time, class, age,
+//! message id, packet)`: deliveries before later-hop arrivals before
+//! injections, and oldest-injected first within a class; no event is ever
+//! ordered by when it was created. The exact per-packet engine queues one
+//! event per injected message (a burst that serves every packet's first
+//! link in packet order), one per later packet-hop, and one per message for
+//! its last packet's delivery; earlier packets are delivered as they win
+//! their final link. A burst's packets would carry consecutive keys as
+//! separate events, so nothing could sort between them. Its calendar is
+//! armed over the same horizon estimate as the fast path's, the busiest
+//! link's total service time, and sized by the events parked at once. The
+//! packet-train coalescing fast path (see [`crate::coalesce`]) advances
+//! whole trains in O(messages × hops), decides every same-instant
+//! contention with the same key, and is used by default whenever no two
+//! trains interleave on a link beyond what its split tier can order. Where
+//! it runs, its completions and per-link busy time are bit-identical to the
+//! per-packet engine's. The [`SimMode`] policy selects between them.
 //!
 //! # One rule per run
 //!
@@ -61,13 +63,12 @@
 //! `crates/sim/tests/zero_alloc.rs`). Callers that run in a tight loop can
 //! hand finished outcomes back via [`PacketSim::recycle`].
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::ops::Range;
 use std::sync::{Arc, Mutex};
 
 use meshcoll_topo::{FaultModel, FaultTimeline, LinkId, Mesh, RouteCache, TransferDag};
 
+use crate::calendar::{horizon_ps, Calendar, Timed};
 use crate::coalesce::{self, Attempt, WorkScratch};
 use crate::config::Net;
 use crate::message::{validate_one, MessageDag};
@@ -765,21 +766,48 @@ impl PacketSim {
         // `stalled_at_ns` a trip reports. 16 is a small margin that every
         // recorded `Stalled` value was produced with.
         const STALL_BUDGET_SLACK: u64 = 16;
+        // Packets per queue bucket. The queue is sized by the events
+        // parked at once, which the packet count bounds (a packet has at
+        // most one event parked at a time), and a bucket's chunks fill
+        // only where parked events crowd it: on the 3x3 DBTree schedules
+        // a bucket per 4 packets left the chunk slab mostly empty (peak
+        // RSS ~2x a binary heap's), while 16 stayed near the heap's and
+        // ran fastest.
+        const PACKETS_PER_BUCKET: u64 = 16;
         let n = dag.len();
         let blocked = &setup.blocked;
         completion.fill(f64::NAN);
+        let mut timing = LinkTiming::default();
+        timing.reset(net, mesh);
 
         // Per-message state, plus each message's dependents in one CSR slab
-        // (each list in message order).
+        // (each list in message order). The same sweep charges every link
+        // its packets' service time for the queue's horizon estimate, and
+        // counts the watchdog budget: every packet takes exactly hops + 1
+        // steps (its hops, then its delivery), so exceeding this count
+        // means the loop is no longer making forward progress (defensive;
+        // cannot trip on well-formed input).
+        let mut busy_ps = vec![0u64; mesh.link_id_space()];
+        let (mut max_ready, mut packets, mut budget) = (0u64, 0u64, STALL_BUDGET_SLACK);
         let mut msgs: Vec<MsgRun> = (0..n)
             .map(|i| {
                 let bytes = dag.bytes(i);
                 let count = self.cfg.packets_for(bytes);
+                let earliest = ns_to_ps(dag.ready_at_ns(i));
+                let route = setup.route(i);
+                for &l in route {
+                    let s = timing.full(l.index()).saturating_add(timing.overhead);
+                    let b = &mut busy_ps[l.index()];
+                    *b = b.saturating_add(count.saturating_mul(s));
+                }
+                max_ready = max_ready.max(earliest);
+                packets = packets.saturating_add(count);
+                budget = budget.saturating_add(count.saturating_mul(route.len() as u64 + 1));
                 MsgRun {
                     count,
                     last_bytes: last_packet_bytes(&self.cfg, bytes, count),
                     left: count,
-                    earliest: ns_to_ps(dag.ready_at_ns(i)),
+                    earliest,
                     age: 0,
                     pending: dag.deps(i).len() as u32,
                     dep_start: 0,
@@ -787,6 +815,13 @@ impl PacketSim {
                 }
             })
             .collect();
+        // The horizon fold leaves `busy_ps` zeroed for the loop's own
+        // busy time.
+        let mut queue = Calendar::default();
+        queue.reset(
+            horizon_ps(&mut busy_ps, max_ready),
+            (packets / PACKETS_PER_BUCKET) as usize,
+        );
         // `dep_end` first counts each message's dependents, then serves as
         // the cursor that fills its list.
         for i in 0..n {
@@ -809,18 +844,6 @@ impl PacketSim {
                 r.dep_end += 1;
             }
         }
-        // Watchdog budget: every packet takes exactly hops + 1 steps (its
-        // hops, then its delivery), so exceeding this count means the loop
-        // is no longer making forward progress (defensive; cannot trip on
-        // well-formed input).
-        let budget: u64 = msgs
-            .iter()
-            .enumerate()
-            .map(|(i, r)| r.count * (setup.route(i).len() as u64 + 1))
-            .sum::<u64>()
-            .saturating_add(STALL_BUDGET_SLACK);
-        let mut timing = LinkTiming::default();
-        timing.reset(net, mesh);
         let mut st = PacketLoop {
             net,
             dag,
@@ -830,8 +853,8 @@ impl PacketSim {
             timing,
             msgs,
             link_free: vec![0; mesh.link_id_space()],
-            busy: vec![0; mesh.link_id_space()],
-            queue: BinaryHeap::new(),
+            busy: busy_ps,
+            queue,
             injections: 0,
             served: 0,
             tally: deaths.map_or_else(DrainTally::default, |_| DrainTally::timed(n)),
@@ -860,7 +883,7 @@ impl PacketSim {
             }
         }
 
-        while let Some(Reverse(ev)) = st.queue.pop() {
+        while let Some(ev) = st.queue.pop() {
             if st.served > budget {
                 // Watchdog trip: no single culprit message/link to name.
                 return Err(NocError::Stalled {
@@ -982,7 +1005,7 @@ impl PacketSim {
 /// * the route length — `msg`'s last packet is delivered.
 ///
 /// A packet's arrivals at successive hops are strictly later in time, so
-/// no two events share `(at, rank, msg, packet)` and the heap's order is
+/// no two events share `(at, rank, msg, packet)` and the queue's order is
 /// total.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 struct Event {
@@ -992,6 +1015,13 @@ struct Event {
     msg: u32,
     packet: u32,
     hop: u32,
+}
+
+impl Timed for Event {
+    #[inline]
+    fn at(self) -> u64 {
+        self.at
+    }
 }
 
 /// One message's state in a per-packet run.
@@ -1031,7 +1061,7 @@ struct PacketLoop<'a, D: ?Sized> {
     msgs: Vec<MsgRun>,
     link_free: Vec<u64>,
     busy: Vec<u64>,
-    queue: BinaryHeap<Reverse<Event>>,
+    queue: Calendar<Event>,
     /// Injections popped so far: the last age handed out.
     injections: u32,
     /// Watchdog count: packet-hops served plus packets delivered.
@@ -1057,13 +1087,13 @@ impl<D: TransferDag + ?Sized> PacketLoop<'_, D> {
                 at_ns: ps_to_ns(at),
             });
         }
-        self.queue.push(Reverse(Event {
+        self.queue.push(Event {
             at,
             rank: rank(INJECT, released_by),
             msg: mi as u32,
             packet: 0,
             hop: 0,
-        }));
+        });
     }
 
     /// The first instant at or after `ready` at which `link` is up.
@@ -1169,13 +1199,13 @@ impl<D: TransferDag + ?Sized> PacketLoop<'_, D> {
             if !final_hop {
                 // Cut-through: the header reaches the next router after
                 // one per-flit latency; occupancies overlap.
-                self.queue.push(Reverse(Event {
+                self.queue.push(Event {
                     at: start + hop_lat,
                     rank: rank(HOP, age),
                     msg: mi as u32,
                     packet: packet as u32,
                     hop: hop + 1,
-                }));
+                });
                 continue;
             }
             // Final hop: the tail is delivered after full serialization
@@ -1188,13 +1218,13 @@ impl<D: TransferDag + ?Sized> PacketLoop<'_, D> {
                     self.tally.end_ps = self.tally.end_ps.max(done);
                 }
             } else {
-                self.queue.push(Reverse(Event {
+                self.queue.push(Event {
                     at: done,
                     rank: rank(DELIVER, age),
                     msg: mi as u32,
                     packet: packet as u32,
                     hop: hop + 1,
-                }));
+                });
             }
         }
         self.link_free[li] = free;

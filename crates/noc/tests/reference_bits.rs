@@ -10,10 +10,14 @@
 //!
 //! The cases cover multi-packet messages injected onto one link at the
 //! same instant, short last packets, multi-hop cut-through, degraded and
-//! overridden links, transient flaps, a static dead link, and link and
-//! chiplet timelines that drop packets in flight and withhold dependents,
-//! and a drain whose clock is set by a delivery rather than a link.
+//! overridden links, transient flaps (one outage outlasting the per-packet
+//! queue's horizon estimate), a static dead link, and link and chiplet
+//! timelines that drop packets in flight and withhold dependents, and a
+//! drain whose clock is set by a delivery rather than a link.
 
+mod common;
+
+use meshcoll_collectives::Algorithm;
 use meshcoll_noc::{
     Message, MsgId, NocConfig, NocError, NullSink, OnlineReport, PacketSim, SimMode, SimOutcome,
     TraceEvent, TraceSink,
@@ -404,6 +408,25 @@ fn cases() -> Vec<(&'static str, NocConfig, Mesh, Vec<Message>)> {
         vec![Message::new(MsgId(0), NodeId(0), NodeId(1), 8192 * 4)],
     ));
 
+    // A 64 MiB DBTree whose every link goes down at 5 % of the healthy
+    // makespan and comes back at 20x it: the outage outlasts the
+    // per-packet queue's horizon estimate, so the run drains its backlog
+    // past that horizon.
+    let dbtree = common::lower(&Algorithm::DBTree.schedule(&m3, 64 << 20).unwrap());
+    let healthy = PacketSim::new(paper())
+        .simulate(&m3, &dbtree)
+        .unwrap()
+        .makespan_ns();
+    let mut outage = paper();
+    for (_, _, l) in m3.links() {
+        outage.faults.add_flap(LinkFlap {
+            link: l,
+            down_ns: 0.05 * healthy,
+            up_ns: 20.0 * healthy,
+        });
+    }
+    out.push(("flaps_past_horizon", outage, m3.clone(), dbtree));
+
     let mut chiplet_death = paper();
     chiplet_death.timeline.chiplet_dies_at(NodeId(4), 2_000.0);
     out.push(("chiplet_timeline", chiplet_death, m3, random_dag(9, 24, 19)));
@@ -483,6 +506,15 @@ const GOLDEN: &[(&str, Digests)] = &[
             trace: 0x5f8e203a6e5e1407,
             online: 0x8a8ae02efc444299,
             online_auto: 0x8a8ae02efc444299,
+        },
+    ),
+    (
+        "flaps_past_horizon",
+        Digests {
+            outcome: 0xe76314ab67ca15c5,
+            trace: 0xc2439ca7e884f295,
+            online: 0x8b3be789d042c065,
+            online_auto: 0x8b3be789d042c065,
         },
     ),
     (
