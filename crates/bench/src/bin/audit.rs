@@ -1,11 +1,12 @@
 //! Audit — invariant sweep over every benchmark algorithm and mesh.
 //!
-//! Replays each applicable algorithm's schedule through the traced engines
-//! on every paper mesh (3×3 through 8×8; `--quick` stops at 5×5), healthy
-//! and fault-repaired, and runs the invariant auditor over the event
-//! stream: bytes conserved, causality respected, directed links exclusive,
-//! dependencies honored, the packet-train fast path bounded from below by
-//! the per-packet reference, and the AllReduce contract satisfied. Any
+//! Runs each applicable algorithm's schedule on every paper mesh (3×3
+//! through 8×8; `--quick` stops at 5×5), healthy and fault-repaired, once
+//! on the traced per-packet reference, and streams the events through the
+//! invariant auditor: bytes conserved, causality respected, directed links
+//! exclusive, dependencies honored, the `Auto` engine's completions and
+//! busy times equal to the reference's bit for bit, and the AllReduce
+//! contract satisfied. `--full` adds healthy Ring at 16×16 and 32×32. Any
 //! violation aborts the run with a nonzero exit — this binary is the
 //! always-on correctness harness behind the figure sweeps.
 //!
@@ -35,7 +36,12 @@ fn main() {
     let mut dirty = 0usize;
 
     println!(
-        "Audit: simulator invariants, meshes 3x3..{max_side}x{max_side}, {} AllReduce data",
+        "Audit: simulator invariants, meshes 3x3..{max_side}x{max_side}{}, {} AllReduce data",
+        if cli.sweep == SweepSize::Full {
+            " (+ Ring 16x16, 32x32)"
+        } else {
+            ""
+        },
         fmt_bytes(data)
     );
     println!(
@@ -91,6 +97,30 @@ fn main() {
                 }
                 Err(e) => panic!("{algo} repair on {mesh}: {e}"),
             }
+        }
+        println!();
+    }
+
+    // The streaming auditor's memory stays O(links + live messages), so
+    // the full sweep also audits Ring where the stream runs to millions
+    // of events.
+    if cli.sweep == SweepSize::Full {
+        for side in [16, 32] {
+            let mesh = Mesh::square(side).expect("square meshes are constructible");
+            let schedule = Algorithm::Ring
+                .schedule(&mesh, data)
+                .unwrap_or_else(|e| panic!("Ring on {mesh}: {e}"));
+            let report = SimEngine::paper_default()
+                .audit(&mesh, &schedule)
+                .unwrap_or_else(|e| panic!("Ring on {mesh}: {e}"));
+            print_row(
+                &mesh,
+                Algorithm::Ring,
+                "healthy",
+                &report,
+                &mut records,
+                &mut dirty,
+            );
         }
         println!();
     }

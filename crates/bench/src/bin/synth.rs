@@ -1,9 +1,9 @@
 //! Schedule synthesis — pareto fronts and the beats-TTO table.
 //!
 //! Runs the beam-search/annealing synthesizer on a set of mesh + fault
-//! configurations, audits every pareto-front schedule through the traced
-//! engines, and prints the front (makespan vs. peak link utilization)
-//! alongside the seeded baselines. Asserts, not just reports:
+//! configurations, audits every pareto-front schedule with
+//! `SimEngine::audit`, and prints the front (makespan vs. peak link
+//! utilization) alongside the seeded baselines. Asserts, not just reports:
 //!
 //! * every emitted schedule audits clean,
 //! * the best synthesized schedule never loses to the seeded TTO baseline,

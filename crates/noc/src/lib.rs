@@ -52,8 +52,9 @@
 //! Both engines can emit a structured event stream ([`TraceEvent`]) through
 //! any [`TraceSink`] via `run_traced`/`simulate_traced`. The default
 //! [`NullSink`] compiles the emission paths out entirely, so untraced runs
-//! pay nothing. The [`InvariantAuditor`] replays a collected trace and
-//! checks conservation, causality, and link exclusivity; see [`audit`].
+//! pay nothing. The [`InvariantAuditor`] is itself a sink: it checks
+//! conservation, causality, hop order, drop accounting and link
+//! exclusivity as the events stream in, buffering none; see [`audit`].
 
 pub mod audit;
 mod calendar;

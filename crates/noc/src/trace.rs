@@ -10,8 +10,9 @@
 //!   [`TraceSink::ENABLED`] constant is `false`, so the engines' generic
 //!   tracing code monomorphizes to nothing: the untraced hot path is
 //!   bit-identical to an engine with no tracing compiled in at all.
-//! * [`MemorySink`] — collects every event in a `Vec`, the input format of
-//!   the [invariant auditor](crate::audit).
+//! * [`MemorySink`] — collects every event in a `Vec`, for inspecting a
+//!   run after the fact. The [invariant auditor](crate::audit) is a sink of
+//!   its own and checks the stream without buffering it.
 //! * [`RingSink`] — keeps only the last `capacity` events (a flight
 //!   recorder for long runs, counting what it dropped).
 //! * [`JsonlSink`] — serializes each event as one JSON object per line to
@@ -208,7 +209,7 @@ impl TraceSink for NullSink {
     fn record(&mut self, _event: TraceEvent) {}
 }
 
-/// Collects every event in order; the auditor's input format.
+/// Collects every event in order.
 #[derive(Debug, Clone, Default)]
 pub struct MemorySink {
     events: Vec<TraceEvent>,

@@ -1,9 +1,7 @@
 //! Property tests on the packet simulator: physical sanity bounds that must
 //! hold for arbitrary message DAGs.
 
-use meshcoll_noc::{
-    InvariantAuditor, MemorySink, Message, MsgId, NetworkSim, NocConfig, PacketSim,
-};
+use meshcoll_noc::{InvariantAuditor, Message, MsgId, NetworkSim, NocConfig, PacketSim};
 use meshcoll_topo::{Mesh, NodeId};
 use proptest::prelude::*;
 
@@ -62,9 +60,7 @@ proptest! {
     // message is in flight at a time), so the coalescing fast path must
     // accept them — and its completions and busy time must equal the exact
     // per-packet engine's bit for bit, so it can never beat it. The
-    // trace-level auditor cross-checks the train start curves against the
-    // per-packet lower bound for the same guarantee at every hop, not just
-    // the end.
+    // reference's own trace streams through the invariant auditor.
     #[test]
     fn fast_path_never_beats_reference_on_contention_free_dags(
         raw in prop::collection::vec((0usize..16, 0usize..16, 1u64..400_000), 1..10),
@@ -85,13 +81,12 @@ proptest! {
             })
             .collect();
         let sim = PacketSim::new(NocConfig::paper_default());
-        let mut fast_trace = MemorySink::new();
         let fast = sim
-            .run_coalesced_traced(&mesh, &msgs, &mut fast_trace)
+            .run_coalesced(&mesh, &msgs)
             .unwrap()
             .expect("chain DAGs are contention-free; the fast path must accept");
-        let mut ref_trace = MemorySink::new();
-        let exact = sim.run_reference_traced(&mesh, &msgs, &mut ref_trace).unwrap();
+        let mut auditor = InvariantAuditor::new();
+        let exact = sim.run_reference_traced(&mesh, &msgs, &mut auditor).unwrap();
 
         prop_assert_eq!(
             fast.makespan_ns().to_bits(),
@@ -112,11 +107,8 @@ proptest! {
             prop_assert_eq!(a.to_bits(), b.to_bits(), "{:?}: busy {} vs {}", l, a, b);
         }
 
-        let auditor = InvariantAuditor::new();
-        let cross = auditor.check_fast_path(fast_trace.events(), ref_trace.events());
-        prop_assert!(cross.is_clean(), "fast-path audit: {:?}", cross.violations);
-        let per_packet = auditor.check_trace(ref_trace.events());
-        prop_assert!(per_packet.is_clean(), "reference audit: {:?}", per_packet.violations);
+        let audit = auditor.finish();
+        prop_assert!(audit.is_clean(), "reference audit: {:?}", audit.violations);
     }
 
     #[test]

@@ -1,24 +1,20 @@
 //! Opt-in invariant auditing for schedule executions.
 //!
-//! The network engines can narrate a run as a [`TraceEvent`] stream; this
-//! module replays a collective [`Schedule`] through the *traced* engines and
-//! cross-examines the stream with the noc-level
-//! [`InvariantAuditor`] plus schedule-level checks the noc layer cannot
-//! know about:
+//! [`SimEngine::audit`] runs a collective [`Schedule`] once on the traced
+//! per-packet reference engine and streams its [`TraceEvent`]s through the
+//! noc-level [`InvariantAuditor`], which checks each event as it arrives,
+//! alongside the schedule-level checks the noc layer cannot know about:
 //!
 //! * **conservation / causality / link exclusivity** — every byte injected
 //!   is delivered, no packet departs a hop before it arrives, no two
-//!   packets hold one directed link at once (delegated to
-//!   [`InvariantAuditor::check_trace`] over the exact per-packet engine),
-//! * **fast-path lower bound** — when the packet-train fast path carried
-//!   the run (it carries the whole DAG or none of it), its per-hop start
-//!   curves may never precede the per-packet reference
-//!   ([`InvariantAuditor::check_fast_path`]),
-//! * **engine identity** — the `Auto` engine's completions and per-link
-//!   busy time equal the per-packet reference's bit for bit, whichever
-//!   engine it kept ([`AuditViolation::EngineMismatch`]),
+//!   packets hold one directed link at once ([`InvariantAuditor`]),
+//! * **engine identity** — an untraced `Auto` run reports the reference's
+//!   completions and per-link busy time bit for bit, whichever engine it
+//!   kept ([`OnlineReport::first_difference`](meshcoll_noc::OnlineReport::first_difference);
+//!   a difference is a [`Violation::EngineMismatch`]),
 //! * **schedule conformance** — every declared dependency is honored: a
-//!   dependent op's injection never precedes its dependency's delivery,
+//!   dependent op's injection, checked as it happens, never precedes its
+//!   dependency's delivery,
 //! * **reduction contract** — each gradient atom receives at least
 //!   `participants - 1` Reduce ops
 //!   ([`verify::check_reduce_indegree`]) and the executed schedule
@@ -29,19 +25,19 @@
 //!   (`meshcoll_analyzer::analyze`, re-exported as [`crate::analyzer`]);
 //!   see [`InvariantAuditor::check_makespan_bound`].
 //!
-//! Auditing re-runs the schedule on the reference engine with tracing
-//! enabled, so it costs a multiple of a plain [`SimEngine::run`]; it is off
-//! by default and enabled per run via [`RunOptions::audit`] (or called
+//! No trace is buffered: the audit holds the auditor's per-link and
+//! per-live-message state and one delivery time per op. It still costs a
+//! traced per-packet run, an untraced run, the functional checks and the
+//! static analysis, a multiple of a plain [`SimEngine::run`]; it is off by
+//! default and enabled per run via [`RunOptions::audit`] (or called
 //! directly via [`SimEngine::audit`]).
 
 use std::fmt;
 
 use meshcoll_collectives::verify::{self, VerifyError};
-use meshcoll_collectives::{OpKind, Schedule};
-use meshcoll_noc::{
-    InvariantAuditor, MemorySink, MsgId, SimMode, SimOutcome, TraceEvent, TraceSink, Violation,
-};
-use meshcoll_topo::{LinkId, Mesh};
+use meshcoll_collectives::{OpId, OpKind, Schedule};
+use meshcoll_noc::{InvariantAuditor, MsgId, NullSink, SimMode, TraceEvent, TraceSink, Violation};
+use meshcoll_topo::Mesh;
 
 use crate::{RunResult, SimEngine, SimError};
 
@@ -80,8 +76,8 @@ impl RunOptions {
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub enum AuditViolation {
-    /// A trace-level invariant failed: conservation, causality, link
-    /// exclusivity, or the fast-path lower bound.
+    /// A noc-level invariant failed: conservation, causality, link
+    /// exclusivity, engine identity, or the makespan bound.
     Trace(Violation),
     /// A schedule dependency was not honored by the engine: the dependent
     /// op injected before its dependency delivered.
@@ -98,21 +94,6 @@ pub enum AuditViolation {
     /// The schedule itself breaks the collective's functional contract
     /// (too few reductions for an atom, or a wrong final value).
     Functional(VerifyError),
-    /// The `Auto` engine's outcome differs from the per-packet reference's,
-    /// which it must match bit for bit. Names the first differing value —
-    /// an op's completion, else a link's busy time — and how many differ.
-    EngineMismatch {
-        /// The op whose completion differs first, if any does.
-        op: Option<u32>,
-        /// The first link whose busy time differs, when no completion does.
-        link: Option<LinkId>,
-        /// The `Auto` engine's value, ns.
-        auto_ns: f64,
-        /// The reference's value, ns.
-        reference_ns: f64,
-        /// Completions and busy times that differ.
-        differing: usize,
-    },
 }
 
 impl fmt::Display for AuditViolation {
@@ -130,84 +111,14 @@ impl fmt::Display for AuditViolation {
                  op {dep} delivered at {dep_deliver_ns} ns"
             ),
             AuditViolation::Functional(e) => write!(f, "schedule contract: {e}"),
-            AuditViolation::EngineMismatch {
-                op,
-                link,
-                auto_ns,
-                reference_ns,
-                differing,
-            } => {
-                match (op, link) {
-                    (Some(op), _) => write!(f, "op {op} completes")?,
-                    (None, Some(link)) => write!(f, "link {} is busy", link.index())?,
-                    (None, None) => write!(f, "the outcome differs")?,
-                }
-                write!(
-                    f,
-                    " at {auto_ns} ns under Auto but {reference_ns} ns per packet \
-                     ({differing} values differ)"
-                )
-            }
         }
-    }
-}
-
-/// One run's outcome as the values the engine-identity check compares:
-/// every completion, then every link's busy time.
-#[derive(Debug, Clone)]
-struct OutcomeValues {
-    completions: Vec<f64>,
-    busy: Vec<(LinkId, f64)>,
-}
-
-impl OutcomeValues {
-    fn of(mesh: &Mesh, outcome: &SimOutcome) -> Self {
-        OutcomeValues {
-            completions: outcome.completions().to_vec(),
-            busy: mesh
-                .links()
-                .map(|(_, _, l)| (l, outcome.link_stats().busy_ns(l)))
-                .collect(),
-        }
-    }
-
-    /// Values compared.
-    fn len(&self) -> usize {
-        self.completions.len() + self.busy.len()
-    }
-
-    /// Compares `auto` with `reference` bit for bit; `None` when identical.
-    fn mismatch(auto: &Self, reference: &Self) -> Option<AuditViolation> {
-        let ops = auto
-            .completions
-            .iter()
-            .zip(&reference.completions)
-            .enumerate()
-            .filter(|(_, (a, r))| a.to_bits() != r.to_bits())
-            .map(|(i, (&a, &r))| (Some(i as u32), None, a, r));
-        let links = auto
-            .busy
-            .iter()
-            .zip(&reference.busy)
-            .filter(|(a, r)| a.1.to_bits() != r.1.to_bits())
-            .map(|(&(l, a), &(_, r))| (None, Some(l), a, r));
-        let mut differing = ops.chain(links);
-        let (op, link, auto_ns, reference_ns) = differing.next()?;
-        Some(AuditViolation::EngineMismatch {
-            op,
-            link,
-            auto_ns,
-            reference_ns,
-            differing: 1 + differing.count(),
-        })
     }
 }
 
 /// The auditor's verdict over one schedule execution.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct AuditReport {
-    /// Trace events examined (reference engine, plus the fast path when it
-    /// accepted the DAG).
+    /// Trace events the per-packet reference run emitted.
     pub events: usize,
     /// Individual invariant checks performed.
     pub checks: usize,
@@ -220,6 +131,13 @@ impl AuditReport {
     pub fn is_clean(&self) -> bool {
         self.violations.is_empty()
     }
+
+    /// Adds a noc-level audit's checks and violations.
+    fn absorb(&mut self, audit: meshcoll_noc::TraceAudit) {
+        self.checks += audit.checks;
+        self.violations
+            .extend(audit.violations.into_iter().map(AuditViolation::Trace));
+    }
 }
 
 impl fmt::Display for AuditReport {
@@ -231,6 +149,46 @@ impl fmt::Display for AuditReport {
             self.checks,
             self.violations.len()
         )
+    }
+}
+
+/// The reference run's sink: streams every event into the
+/// [`InvariantAuditor`] and checks each op's dependencies as it injects.
+struct ScheduleAuditor<'a> {
+    schedule: &'a Schedule,
+    auditor: InvariantAuditor,
+    /// Each op's delivery time, NaN until it delivers.
+    delivered: Vec<f64>,
+    report: AuditReport,
+}
+
+impl TraceSink for ScheduleAuditor<'_> {
+    fn record(&mut self, event: TraceEvent) {
+        self.report.events += 1;
+        match event {
+            TraceEvent::Inject { msg, at_ns, .. } => {
+                let op = OpId(msg.index() as u32);
+                for &dep in self.schedule.deps(op) {
+                    let dep_deliver_ns = self.delivered[dep.index()];
+                    // An undelivered dependency (NaN) fails too.
+                    let honored = at_ns >= dep_deliver_ns;
+                    self.report.checks += 1;
+                    if !honored {
+                        self.report
+                            .violations
+                            .push(AuditViolation::DependencyViolated {
+                                op: op.0,
+                                dep: dep.0,
+                                inject_ns: at_ns,
+                                dep_deliver_ns,
+                            });
+                    }
+                }
+            }
+            TraceEvent::Deliver { msg, at_ns, .. } => self.delivered[msg.index()] = at_ns,
+            _ => {}
+        }
+        self.auditor.record(event);
     }
 }
 
@@ -266,8 +224,11 @@ impl SimEngine {
         Ok((result, report))
     }
 
-    /// Replays `schedule` through the traced engines and checks every
-    /// invariant listed in the [module docs](crate::audit).
+    /// Runs `schedule` once on the traced per-packet reference and streams
+    /// its events through the [`InvariantAuditor`], checking each op's
+    /// dependencies as it injects; then compares an untraced `Auto` run
+    /// with the reference bit for bit, and checks the reduction contract
+    /// and the analyzer's makespan bound.
     ///
     /// Faults configured in this engine's [`NocConfig`](meshcoll_noc::NocConfig)
     /// apply, so fault-repaired schedules are audited under the very fault
@@ -279,79 +240,34 @@ impl SimEngine {
     /// all (e.g. it routes over a dead link); violations of invariants are
     /// reported, not errors.
     pub fn audit(&self, mesh: &Mesh, schedule: &Schedule) -> Result<AuditReport, SimError> {
-        let parts = [(schedule, 0.0)];
-        let auditor = InvariantAuditor::new();
-        let mut report = AuditReport::default();
+        let sim = self.packet_sim();
+        let mut sink = ScheduleAuditor {
+            schedule,
+            auditor: InvariantAuditor::new(),
+            delivered: vec![f64::NAN; schedule.len()],
+            report: AuditReport::default(),
+        };
+        let reference = sim
+            .clone()
+            .with_mode(SimMode::PerPacket)
+            .simulate_dag(mesh, schedule, &mut sink)?;
+        let ScheduleAuditor {
+            auditor,
+            mut report,
+            ..
+        } = sink;
+        report.absorb(auditor.finish());
 
-        // Exact per-packet reference: conservation, causality, exclusivity.
-        let mut reference = MemorySink::new();
-        let reference_outcome =
-            self.clone()
-                .with_mode(SimMode::PerPacket)
-                .simulate(mesh, &parts, &mut reference)?;
-        let trace = auditor.check_trace(reference.events());
-        report.checks += trace.checks;
-        report
-            .violations
-            .extend(trace.violations.into_iter().map(AuditViolation::Trace));
-
-        // The Auto engine's trace: train claims when the fast path kept the
-        // whole DAG, per-packet events when it fell back. Any train claim
-        // is cross-checked against the per-packet lower bound; a trace with
-        // no trains means the whole DAG ran per-packet and there is nothing
-        // to cross-check.
-        let mut fast = MemorySink::new();
-        let auto_outcome = self.simulate(mesh, &parts, &mut fast)?;
         // Engine identity: kept or declined, Auto's outcome is the
         // reference's, bit for bit.
-        let (auto_values, reference_values) = (
-            OutcomeValues::of(mesh, &auto_outcome),
-            OutcomeValues::of(mesh, &reference_outcome),
+        let diff = sim
+            .simulate_dag(mesh, schedule, &mut NullSink)?
+            .first_difference(mesh, &reference);
+        report.checks += 1;
+        report.violations.extend(
+            diff.map(|diff| AuditViolation::Trace(Violation::EngineMismatch { segment: 0, diff })),
         );
-        report.checks += reference_values.len();
-        report
-            .violations
-            .extend(OutcomeValues::mismatch(&auto_values, &reference_values));
-        if fast
-            .events()
-            .iter()
-            .any(|e| matches!(e, TraceEvent::TrainHop { .. }))
-        {
-            let cross = auditor.check_fast_path(fast.events(), reference.events());
-            report.checks += cross.checks;
-            report
-                .violations
-                .extend(cross.violations.into_iter().map(AuditViolation::Trace));
-        }
-        report.events = reference.events().len() + fast.events().len();
-
-        // Schedule conformance: dependencies honored in the reference run.
-        let mut inject = vec![f64::NAN; schedule.len()];
-        let mut deliver = vec![f64::NAN; schedule.len()];
-        for ev in reference.events() {
-            match *ev {
-                TraceEvent::Inject { msg, at_ns, .. } => inject[msg.index()] = at_ns,
-                TraceEvent::Deliver { msg, at_ns, .. } => deliver[msg.index()] = at_ns,
-                _ => {}
-            }
-        }
-        for id in schedule.op_ids() {
-            for d in schedule.deps(id) {
-                report.checks += 1;
-                let (at, dep_done) = (inject[id.index()], deliver[d.index()]);
-                // NaN (a message that never injected/delivered) fails too,
-                // which `at < dep_done - tol` would silently pass.
-                #[allow(clippy::neg_cmp_op_on_partial_ord)]
-                if !(at >= dep_done - auditor.tolerance_ns) {
-                    report.violations.push(AuditViolation::DependencyViolated {
-                        op: id.0,
-                        dep: d.0,
-                        inject_ns: at,
-                        dep_deliver_ns: dep_done,
-                    });
-                }
-            }
-        }
+        let makespan = reference.into_outcome()?.makespan_ns();
 
         // The collective's functional contract.
         report.checks += 1;
@@ -367,20 +283,10 @@ impl SimEngine {
         // static analyzer's certified lower bound. A violation pinpoints
         // either an engine that teleported bytes or a broken bound
         // derivation.
-        let makespan = reference
-            .events()
-            .iter()
-            .filter_map(|ev| match *ev {
-                TraceEvent::Deliver { at_ns, .. } => Some(at_ns),
-                _ => None,
-            })
-            .fold(0.0f64, f64::max);
         let static_report = meshcoll_analyzer::analyze(mesh, schedule, self.noc());
-        let bound = auditor.check_makespan_bound(makespan, static_report.lower_bound_ns());
-        report.checks += bound.checks;
-        report
-            .violations
-            .extend(bound.violations.into_iter().map(AuditViolation::Trace));
+        report.absorb(
+            InvariantAuditor::new().check_makespan_bound(makespan, static_report.lower_bound_ns()),
+        );
         Ok(report)
     }
 
@@ -427,8 +333,8 @@ impl SimEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use meshcoll_collectives::{Algorithm, OpKind, Schedule};
-    use meshcoll_noc::NullSink;
+    use meshcoll_collectives::Algorithm;
+    use meshcoll_noc::MemorySink;
     use meshcoll_topo::NodeId;
 
     #[test]
@@ -514,44 +420,6 @@ mod tests {
             .violations
             .iter()
             .any(|v| matches!(v, AuditViolation::Functional(_))));
-    }
-
-    #[test]
-    fn engine_identity_flags_a_one_ulp_difference() {
-        let mesh = Mesh::square(3).unwrap();
-        let s = Algorithm::Tto.schedule(&mesh, 1 << 16).unwrap();
-        let run = |mode| {
-            let e = SimEngine::paper_default().with_mode(mode);
-            OutcomeValues::of(
-                &mesh,
-                &e.simulate(&mesh, &[(&s, 0.0)], &mut NullSink).unwrap(),
-            )
-        };
-        let (reference, auto) = (run(SimMode::PerPacket), run(SimMode::Auto));
-        assert_eq!(OutcomeValues::mismatch(&auto, &reference), None);
-        let ulp = |x: f64| f64::from_bits(x.to_bits() + 1);
-
-        let mut late = auto.clone();
-        late.completions[5] = ulp(late.completions[5]);
-        match OutcomeValues::mismatch(&late, &reference) {
-            Some(AuditViolation::EngineMismatch {
-                op: Some(5),
-                link: None,
-                differing: 1,
-                ..
-            }) => {}
-            other => panic!("expected op 5 to differ, got {other:?}"),
-        }
-
-        let mut busier = auto.clone();
-        let (link, busy) = busier.busy[2];
-        busier.busy[2].1 = ulp(busy);
-        let v = OutcomeValues::mismatch(&busier, &reference).expect("one ulp of busy time");
-        assert!(
-            matches!(v, AuditViolation::EngineMismatch { op: None, link: Some(l), .. } if l == link),
-            "{v:?}"
-        );
-        assert!(v.to_string().contains(&format!("link {}", link.index())));
     }
 
     #[test]

@@ -8,15 +8,18 @@
 //!   utilization (Figures 8, 9, 12, 14); under a configured fault model,
 //!   [`SimEngine::run_degraded`] lints, repairs, and reports a
 //!   [`RunStatus`] (completed / repaired / infeasible); opt-in
-//!   ([`RunOptions::audit`]), [`SimEngine::audit`] replays a schedule
-//!   through the traced engines and checks conservation, causality, link
-//!   exclusivity, dependency conformance, and the AllReduce contract,
+//!   ([`RunOptions::audit`]), [`SimEngine::audit`] streams one traced
+//!   per-packet run of a schedule through the invariant auditor and checks
+//!   conservation, causality, link exclusivity, engine identity,
+//!   dependency conformance, and the AllReduce contract,
 //!   while [`SimEngine::run_traced`] streams the structured event trace
 //!   (including schedule-layer reductions) into any
 //!   [`TraceSink`](meshcoll_noc::TraceSink); under a fault *timeline*
 //!   (links/chiplets dying at run time), [`SimEngine::run_online`] drains
 //!   the interrupted network, repairs the schedule suffix live from the
-//!   salvaged partial sums, and resumes on the surviving topology,
+//!   salvaged partial sums, and resumes on the surviving topology (with
+//!   [`OnlineOptions::audit`], streaming every segment through one
+//!   auditor),
 //! * [`SimContext`] / [`SweepRunner`] — a shared route cache for engines
 //!   that repeat runs on the same mesh, and a scoped-thread fan-out over
 //!   sweep points with deterministic result ordering (the `--jobs` flag of

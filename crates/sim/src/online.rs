@@ -22,12 +22,12 @@
 //! and its pooled scratch, under the drained overlay and the remaining
 //! timeline passed in place of the configured ones.
 //!
-//! With [`OnlineOptions::audit`] set, every segment's trace is collected
-//! (with [`TraceEvent::Resume`] markers between segments) and replayed
-//! through [`InvariantAuditor::check_online_trace`], which checks
-//! conservation and drop accounting per segment plus causality across the
-//! splice boundaries. That check reads packet hops, not train hops, so
-//! every segment is also re-run on the per-packet engine, whose
+//! With [`OnlineOptions::audit`] set, every segment streams its trace into
+//! one [`InvariantAuditor`], with a [`TraceEvent::Resume`] marker between
+//! segments, which checks conservation and drop accounting per segment
+//! plus causality and link exclusivity across the splice boundaries. A
+//! segment the fast path carried traces trains, not packets, so every
+//! segment is also re-run untraced on the per-packet engine, whose
 //! completions, busy time and drain snapshot must equal the kept run's bit
 //! for bit (an [`EngineMismatch`](meshcoll_noc::Violation::EngineMismatch)
 //! otherwise).
@@ -35,8 +35,8 @@
 use meshcoll_collectives::online::{repair_suffix, SuffixContext};
 use meshcoll_collectives::{Algorithm, CollectiveError, CollectiveOp, ScheduleOptions};
 use meshcoll_noc::{
-    splice_outcomes, Engine, InvariantAuditor, MemorySink, NullSink, SimMode, SimOutcome,
-    TraceAudit, TraceEvent, Violation,
+    splice_outcomes, Engine, InvariantAuditor, NullSink, PacketSim, SimMode, SimOutcome,
+    TraceAudit, TraceEvent, TraceSink, Violation,
 };
 use meshcoll_topo::{Mesh, NodeId};
 
@@ -51,15 +51,11 @@ pub struct OnlineOptions {
     /// detect → repair → resume loop so adversarial timelines cannot spin
     /// it forever.
     pub max_repairs: usize,
-    /// Collect every segment's trace and replay it through
-    /// [`InvariantAuditor::check_online_trace`], and re-run every segment on
-    /// the per-packet engine to check that it reports the kept run's values
-    /// bit for bit (slower; the verdict lands in [`OnlineRun::audit`]).
+    /// Stream every segment's trace through one [`InvariantAuditor`], and
+    /// re-run every segment on the per-packet engine to check that it
+    /// reports the kept run's values bit for bit (slower; the verdict lands
+    /// in [`OnlineRun::audit`]).
     pub audit: bool,
-    /// Re-run the static analyzer on each repaired suffix before resuming
-    /// it, rejecting provably-infeasible suffixes with [`SimError::Static`]
-    /// instead of burning the stall watchdog.
-    pub static_check: bool,
 }
 
 impl Default for OnlineOptions {
@@ -67,7 +63,6 @@ impl Default for OnlineOptions {
         OnlineOptions {
             max_repairs: 4,
             audit: false,
-            static_check: false,
         }
     }
 }
@@ -107,10 +102,8 @@ struct OnlineLoop {
     segments: Vec<SimOutcome>,
     /// The engine of each executed segment.
     engines: Vec<Engine>,
-    /// Collected trace events (audit mode only).
-    events: Vec<TraceEvent>,
-    /// Segments whose per-packet re-run differs (audit mode only).
-    mismatches: Vec<Violation>,
+    /// The run's audit, when requested.
+    audit: Option<OnlineAudit>,
     /// Earliest-start time of the next segment, ns.
     resume_at: f64,
     /// Online repairs performed so far.
@@ -125,6 +118,27 @@ struct OnlineLoop {
     first_fault_ns: Option<f64>,
 }
 
+/// An audited run's checks: every segment streams into one auditor, and
+/// the per-packet engine re-runs each segment untraced.
+struct OnlineAudit {
+    /// The per-packet engine, sharing the run's pools.
+    reference: PacketSim,
+    auditor: InvariantAuditor,
+    /// Segments whose per-packet re-run differs.
+    mismatches: Vec<Violation>,
+}
+
+impl OnlineAudit {
+    /// Closes the stream of `segments` segments; each segment's identity
+    /// check counts once.
+    fn finish(self, segments: usize) -> TraceAudit {
+        let mut audit = self.auditor.finish();
+        audit.checks += segments;
+        audit.violations.extend(self.mismatches);
+        audit
+    }
+}
+
 impl SimEngine {
     /// Times `algorithm` under this engine's static faults *and* its
     /// [`FaultTimeline`](meshcoll_topo::FaultTimeline), surviving mid-run
@@ -134,7 +148,7 @@ impl SimEngine {
     ///    repaired offline if dirty (exactly [`SimEngine::run_degraded`]);
     /// 2. the schedule executes on the online packet engine; timeline
     ///    events that interrupt it drain the network to a
-    ///    [`DrainSnapshot`];
+    ///    [`DrainSnapshot`](meshcoll_noc::DrainSnapshot);
     /// 3. the repair layer rebuilds the remainder from the completed ops'
     ///    partial sums; the suffix resumes at the drain time, under the
     ///    post-fault overlay and the not-yet-fired remainder of the
@@ -147,12 +161,10 @@ impl SimEngine {
     /// # Errors
     ///
     /// Returns [`SimError::Collective`] when the healthy construction is
-    /// invalid on this mesh, [`SimError::Static`] when
-    /// [`OnlineOptions::static_check`] rejects a suffix, and
-    /// [`SimError::Network`] for malformed message DAGs. Survivable
-    /// dead-ends — partitioned survivors, unrecoverable partial sums, an
-    /// exhausted repair budget — are the typed [`RunStatus::Infeasible`],
-    /// not errors.
+    /// invalid on this mesh, and [`SimError::Network`] for malformed
+    /// message DAGs. Survivable dead-ends — partitioned survivors,
+    /// unrecoverable partial sums, an exhausted repair budget — are the
+    /// typed [`RunStatus::Infeasible`], not errors.
     pub fn run_online(
         &self,
         mesh: &Mesh,
@@ -177,12 +189,18 @@ impl SimEngine {
         let contributors: Vec<NodeId> = schedule.participants().to_vec();
         let mut overlay = self.noc().faults.clone();
         let mut timeline = self.noc().timeline.clone();
+        let sim = self.packet_sim();
         let mut st = OnlineLoop {
             executed: Vec::new(),
             segments: Vec::new(),
             engines: Vec::new(),
-            events: Vec::new(),
-            mismatches: Vec::new(),
+            // Audited segments are re-run on the per-packet engine, sharing
+            // the same pools.
+            audit: online.audit.then(|| OnlineAudit {
+                reference: sim.clone().with_mode(SimMode::PerPacket),
+                auditor: InvariantAuditor::new(),
+                mismatches: Vec::new(),
+            }),
             resume_at: 0.0,
             attempts: 0,
             repair_ns: 0.0,
@@ -191,46 +209,31 @@ impl SimEngine {
             first_fault_ns: None,
         };
 
-        let sim = self.packet_sim();
-        // Audited segments are re-run on the per-packet engine, sharing the
-        // same pools.
-        let reference = online
-            .audit
-            .then(|| sim.clone().with_mode(SimMode::PerPacket));
         loop {
-            if online.static_check {
-                let mut cfg = self.noc().clone();
-                cfg.faults = overlay.clone();
-                cfg.timeline = timeline.clone();
-                let report = meshcoll_analyzer::analyze(mesh, &schedule, &cfg);
-                if !report.is_feasible() {
-                    return Err(SimError::Static {
-                        issues: report.issues,
-                    });
-                }
-            }
             // The segment resumes in place: every op of the (repaired)
             // schedule becomes ready at the drain time.
             let parts = [(&schedule, st.resume_at)];
             let dag = PhasedDag::new(&parts);
-            let report = if let Some(reference) = &reference {
+            let report = if let Some(a) = &mut st.audit {
                 if !st.segments.is_empty() {
-                    st.events.push(TraceEvent::Resume {
+                    a.auditor.record(TraceEvent::Resume {
                         at_ns: st.resume_at,
                         suffix_msgs: schedule.len() as u64,
                     });
                 }
-                let mut sink = MemorySink::new();
-                let r = sim.simulate_dag_under(mesh, &dag, &overlay, &timeline, &mut sink)?;
-                st.events.extend_from_slice(sink.events());
-                let per_packet =
-                    reference.simulate_dag_under(mesh, &dag, &overlay, &timeline, &mut NullSink)?;
-                if let Some(diff) = r.first_difference(mesh, &per_packet) {
-                    st.mismatches.push(Violation::EngineMismatch {
-                        segment: st.segments.len(),
-                        diff,
-                    });
-                }
+                let r = sim.simulate_dag_under(mesh, &dag, &overlay, &timeline, &mut a.auditor)?;
+                let per_packet = a.reference.simulate_dag_under(
+                    mesh,
+                    &dag,
+                    &overlay,
+                    &timeline,
+                    &mut NullSink,
+                )?;
+                let segment = st.segments.len();
+                a.mismatches.extend(
+                    r.first_difference(mesh, &per_packet)
+                        .map(|diff| Violation::EngineMismatch { segment, diff }),
+                );
                 r
             } else {
                 sim.simulate_dag_under(mesh, &dag, &overlay, &timeline, &mut NullSink)?
@@ -245,7 +248,7 @@ impl SimEngine {
             st.lost_bytes += snap.lost_bytes;
             st.attempts += 1;
             if st.attempts > online.max_repairs {
-                return Ok(self.conclude_infeasible(online, &st, "online repair budget exhausted"));
+                return Ok(conclude_infeasible(st, "online repair budget exhausted"));
             }
 
             let t0 = std::time::Instant::now();
@@ -262,7 +265,7 @@ impl SimEngine {
                 match repair_suffix(&ctx, algorithm, opts) {
                     Ok(sr) => sr.suffix,
                     Err(CollectiveError::Infeasible { reason }) => {
-                        return Ok(self.conclude_infeasible(online, &st, reason));
+                        return Ok(conclude_infeasible(st, reason));
                     }
                     Err(e) => return Err(e.into()),
                 }
@@ -296,38 +299,20 @@ impl SimEngine {
         Ok(OnlineRun {
             status,
             result: Some(RunResult::of(&spliced, makespan)),
-            audit: self.online_audit(online, &st),
+            audit: st.audit.map(|a| a.finish(st.segments.len())),
             engines: st.engines,
         })
     }
+}
 
-    /// Wraps a survivable dead-end as the typed infeasible conclusion,
-    /// keeping whatever audit trail the executed segments left.
-    fn conclude_infeasible(
-        &self,
-        online: &OnlineOptions,
-        st: &OnlineLoop,
-        reason: &'static str,
-    ) -> OnlineRun {
-        OnlineRun {
-            status: RunStatus::Infeasible { reason },
-            result: None,
-            audit: self.online_audit(online, st),
-            engines: st.engines.clone(),
-        }
-    }
-
-    /// Replays the collected multi-segment trace through the online auditor
-    /// and adds each segment's engine mismatch, when auditing was requested
-    /// and anything executed.
-    fn online_audit(&self, online: &OnlineOptions, st: &OnlineLoop) -> Option<TraceAudit> {
-        if !online.audit || st.events.is_empty() {
-            return None;
-        }
-        let mut audit = InvariantAuditor::new().check_online_trace(&st.events);
-        audit.checks += st.segments.len();
-        audit.violations.extend(st.mismatches.iter().cloned());
-        Some(audit)
+/// Wraps a survivable dead-end as the typed infeasible conclusion, keeping
+/// whatever audit trail the executed segments left.
+fn conclude_infeasible(st: OnlineLoop, reason: &'static str) -> OnlineRun {
+    OnlineRun {
+        status: RunStatus::Infeasible { reason },
+        result: None,
+        audit: st.audit.map(|a| a.finish(st.segments.len())),
+        engines: st.engines,
     }
 }
 
@@ -335,7 +320,7 @@ impl SimEngine {
 mod tests {
     use super::*;
     use meshcoll_collectives::Schedule;
-    use meshcoll_noc::{NocConfig, PacketSim};
+    use meshcoll_noc::{MemorySink, NocConfig};
     use meshcoll_topo::Coord;
 
     const ALGOS: [Algorithm; 4] = [

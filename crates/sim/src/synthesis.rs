@@ -15,8 +15,8 @@ use crate::audit::AuditReport;
 use crate::engine::SimEngine;
 use crate::error::SimError;
 
-/// Runs [`synthesize`] and audits every pareto-front schedule through the
-/// traced engines. `audits[i]` is the audit of `report.pareto[i]`.
+/// Runs [`synthesize`] and audits every pareto-front schedule with
+/// [`SimEngine::audit`]. `audits[i]` is the audit of `report.pareto[i]`.
 ///
 /// # Errors
 ///

@@ -1,10 +1,11 @@
 //! Tier-1 invariant audit: every benchmark algorithm on every mesh size the
 //! paper sweeps (3x3 through 8x8), healthy and fault-repaired, must execute
 //! with a clean [`meshcoll_sim::AuditReport`] — bytes conserved, causality
-//! respected, links exclusive, dependencies honored, fast path bounded by
-//! the per-packet reference, and the AllReduce contract satisfied. Ring
-//! repairs are also audited under every single dead link or chiplet of the
-//! 4x4 to 6x6 meshes and a fixed sample of 7x7 and 8x8 ones.
+//! respected, links exclusive, dependencies honored, the `Auto` engine
+//! equal to the per-packet reference bit for bit, and the AllReduce
+//! contract satisfied. Ring repairs are also audited under every single
+//! dead link or chiplet of the 4x4 to 6x6 meshes and a fixed sample of 7x7
+//! and 8x8 ones.
 
 use meshcoll_collectives::{fault, Algorithm, Applicability, CollectiveError, ScheduleOptions};
 use meshcoll_noc::NocConfig;

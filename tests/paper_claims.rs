@@ -117,7 +117,6 @@ fn section8b_raw_numbers_are_reproduced() {
 }
 
 #[test]
-#[ignore = "TTO on the full 240 MB gradient is slow in debug builds; run with --ignored"]
 fn section8b_tto_number_is_reproduced() {
     // C_t = 7,076,228 ns in the paper; we land within a few percent.
     let model = DnnModel::ResNet152.model();
